@@ -29,8 +29,11 @@
 // Structures whose Get is total (every flat array) always grant k; a
 // gate-bounded structure (the sharded scale layer) may grant fewer —
 // even zero — when its shards refuse, after refunding any reserved gate
-// capacity exactly. Callers own the retry loop and must back off between
-// rounds (sync::Backoff) instead of busy-looping the refusal path.
+// capacity exactly. Callers own the retry loop and must not busy-loop
+// the refusal path: either back off between rounds (sync::Backoff), or
+// retry through api::get_batch_for, which lets a structure with deadline
+// ops wait on its own wait queue until it can grant (the churn driver
+// does this, with the run's end as the deadline).
 // free_batch frees all k names; it throws on the first bad name, at
 // which point the earlier names in the batch are already freed (callers
 // treating a throw as fatal — every harness here — need no rollback).
@@ -341,21 +344,6 @@ struct has_wait_stats<
 
 template <typename T>
 inline constexpr bool has_wait_stats_v = has_wait_stats<T>::value;
-
-// Optional: T::free_signal() -> sync::FutexWord&, an eventcount every
-// capacity-releasing path signals. Callers that see a refused batch may
-// park on it (prepare_wait, re-attempt, commit_wait) instead of
-// spin-retrying — see bench_util::detail::drive's gate-refusal loop.
-template <typename T, typename = void>
-struct has_free_signal : std::false_type {};
-
-template <typename T>
-struct has_free_signal<
-    T, std::void_t<decltype(std::declval<T&>().free_signal())>>
-    : std::true_type {};
-
-template <typename T>
-inline constexpr bool has_free_signal_v = has_free_signal<T>::value;
 
 // --- RNG dispatch -------------------------------------------------------
 

@@ -27,13 +27,16 @@ GetResult SplitterGrid::get(std::uint64_t process_id) {
   while (right + down < n_) {
     Splitter& s = grid_[index(right, down)];
     ++result.probes;
-    s.x.store(id, std::memory_order_release);
-    if (s.y.load(std::memory_order_acquire) != 0) {
+    // Dekker-shaped: each store must precede the *other* word's next
+    // load. Release/acquire lets the store buffer reorder them, and two
+    // processes then stop at one splitter — so all four are seq_cst.
+    s.x.store(id, std::memory_order_seq_cst);
+    if (s.y.load(std::memory_order_seq_cst) != 0) {
       ++right;
       continue;
     }
-    s.y.store(1, std::memory_order_release);
-    if (s.x.load(std::memory_order_acquire) == id) {
+    s.y.store(1, std::memory_order_seq_cst);
+    if (s.x.load(std::memory_order_seq_cst) == id) {
       // Captured: name the splitter by its diagonal, so names across the
       // triangle are distinct and bounded by n(n+1)/2.
       const std::uint64_t diag = right + down;

@@ -74,10 +74,9 @@ struct RunResult {
   double throughput_ops_per_sec = 0.0;
   double mean_per_thread_worst = 0.0;  // worst case averaged over threads
   std::uint64_t backup_gets = 0;
-  // Gate-refusal waiting, summed across threads: retry rounds spent in
-  // the drive loop's spin/yield tiers plus whatever the structure itself
-  // reports (api::WaitStats), and futex parks taken once the waits
-  // outlived both tiers.
+  // Gate-refusal waiting as the structure itself reports it
+  // (api::WaitStats): retry rounds spent in its spin/yield tiers, and
+  // parks taken once the waits outlived both tiers.
   std::uint64_t gate_wait_rounds = 0;
   std::uint64_t gate_parks = 0;
   // Caller-observed timed-out refusals (deadline_ns exchanges that
@@ -112,8 +111,6 @@ struct ThreadOutput {
   stats::TrialStats trials;
   std::uint64_t ops = 0;
   std::uint64_t backup_gets = 0;
-  std::uint64_t wait_rounds = 0;  // batched-retry refusal rounds
-  std::uint64_t parks = 0;        // futex parks on the free signal
   std::uint64_t timeouts = 0;     // deadline_ns exchanges that expired
   // The thread's stash of held names lives here so its header shares the
   // padded cache line with the thread's own counters, not a neighbor's.
@@ -164,6 +161,10 @@ RunResult drive(Array& array, const DriverConfig& d) {
       std::vector<GetResult> got(batch);
       barrier.wait();
       Stopwatch local;
+      const std::uint64_t run_end =
+          timed ? sync::FutexWord::monotonic_now_ns() +
+                      static_cast<std::uint64_t>(d.seconds * 1e9)
+                : api::kNoDeadline;
       if (batch == 1) {
         for (std::uint64_t iter = 0;; ++iter) {
           if (timed) {
@@ -232,64 +233,29 @@ RunResult drive(Array& array, const DriverConfig& d) {
             api::free_batch(array, victims.data(), nfree);
             out.ops += nfree;
           }
-          // A gate-bounded structure may grant the batch partially —
-          // retry the remainder under Backoff instead of busy-looping
-          // the refusal path (oversubscribed runs would otherwise burn
-          // whole timeslices spinning). Structures that publish a free
-          // signal get the third tier too: once the spin and yield
-          // budgets are spent, park on the signal with the eventcount
-          // protocol (register, one re-check grab, then sleep) so a
-          // refusal storm costs a futex wait instead of timeslices.
-          std::size_t want = batch;
-          bool timed_attempt = false;
-          if constexpr (api::has_deadline_ops_v<Array>) {
-            if (d.deadline_ns != 0) {
-              // One whole-exchange deadline: retry partial grants until
-              // the batch fills or the deadline expires, then abandon
-              // the remainder as a timed-out refusal.
-              timed_attempt = true;
-              const std::uint64_t until =
-                  sync::FutexWord::monotonic_now_ns() + d.deadline_ns;
-              while (want != 0) {
-                const std::size_t granted =
-                    api::get_batch_for(array, rng, got.data(), want, until);
-                if (granted == 0) {
-                  ++out.timeouts;
-                  ++out.ops;  // the refused remainder spends loop budget
-                  break;
-                }
-                for (std::size_t j = 0; j < granted; ++j) {
-                  out.trials.record(got[j].probes);
-                  if (got[j].used_backup) ++out.backup_gets;
-                  held.push_back(got[j].name);
-                }
-                out.ops += granted;
-                want -= granted;
+          // A gate-bounded structure may grant the batch partially, or
+          // refuse it outright. Retry the remainder through
+          // api::get_batch_for: a structure with deadline ops then waits
+          // (spin, yield, park on its own wait queue) until it can grant
+          // something. The deadline is the exchange's own budget when one
+          // is set — an expired exchange abandons the remainder as a
+          // timed-out refusal — and otherwise the end of a timed run, so
+          // no thread stays parked past it.
+          const bool exchange_deadline =
+              api::has_deadline_ops_v<Array> && d.deadline_ns != 0;
+          const std::uint64_t until =
+              exchange_deadline
+                  ? sync::FutexWord::monotonic_now_ns() + d.deadline_ns
+                  : run_end;
+          for (std::size_t want = batch; want != 0;) {
+            const std::size_t granted =
+                api::get_batch_for(array, rng, got.data(), want, until);
+            if (granted == 0) {
+              if (exchange_deadline) {
+                ++out.timeouts;
+                ++out.ops;  // the refused remainder spends loop budget
               }
-            }
-          }
-          sync::Backoff backoff;
-          while (!timed_attempt && want != 0) {
-            std::size_t granted =
-                api::get_batch(array, rng, got.data(), want);
-            if constexpr (api::has_free_signal_v<Array>) {
-              if (granted == 0 && backoff.should_park()) {
-                auto& bell = array.free_signal();
-                const std::uint32_t seen = bell.prepare_wait();
-                granted = api::get_batch(array, rng, got.data(), want);
-                if (granted != 0) {
-                  bell.cancel_wait();
-                } else if (timed &&
-                           local.elapsed_seconds() >= d.seconds) {
-                  bell.cancel_wait();
-                  break;
-                } else {
-                  ++out.parks;
-                  // Timed as a backstop; the release paths all signal,
-                  // so the common wake is the eventcount bump.
-                  bell.commit_wait_for(seen, 50'000'000ull);
-                }
-              }
+              break;
             }
             for (std::size_t j = 0; j < granted; ++j) {
               out.trials.record(got[j].probes);
@@ -298,11 +264,6 @@ RunResult drive(Array& array, const DriverConfig& d) {
             }
             out.ops += granted;
             want -= granted;
-            if (want != 0) {
-              if (timed && local.elapsed_seconds() >= d.seconds) break;
-              ++out.wait_rounds;
-              backoff.pause();
-            }
           }
         }
       }
@@ -319,8 +280,6 @@ RunResult drive(Array& array, const DriverConfig& d) {
     result.trials.merge(out.trials);
     result.total_ops += out.ops;
     result.backup_gets += out.backup_gets;
-    result.gate_wait_rounds += out.wait_rounds;
-    result.gate_parks += out.parks;
     result.timeouts += out.timeouts;
     per_thread_worst.add(static_cast<double>(out.trials.worst_case()));
     // Slowest thread's barrier-to-loop-end time: excludes spawn, join,
@@ -330,12 +289,12 @@ RunResult drive(Array& array, const DriverConfig& d) {
     }
   }
   // Structures that track their own gate waiting (the scale layer's
-  // blocking get, the svc client's response waits) fold into the same
-  // counters — read here, while the structure is still alive.
+  // blocking get, the svc client's response waits) report it here — read
+  // while the structure is still alive.
   if constexpr (api::has_wait_stats_v<Array>) {
     const api::WaitStats waits = array.wait_stats();
-    result.gate_wait_rounds += waits.wait_rounds;
-    result.gate_parks += waits.parks;
+    result.gate_wait_rounds = waits.wait_rounds;
+    result.gate_parks = waits.parks;
   }
   result.mean_per_thread_worst = per_thread_worst.mean();
   result.throughput_ops_per_sec =

@@ -33,14 +33,15 @@
 // The cache is deliberately not a locked container: each entry ("bin")
 // is a single std::atomic<uint64_t> holding name+1, 0 when empty. The
 // owning thread is the only writer of nonzero values (single producer),
-// so parking is one release store; popping and cross-thread stealing
-// (collect()/global-miss drains) race each other with exchange(0) —
-// whoever reads the nonzero token owns the name. The owner's approximate
-// stack discipline (push above, pop below a private top hint) keeps
-// reuse hot without any cross-bin invariant that steals could break.
-// The hot Free+Get pair therefore costs one atomic RMW (the pop), where
-// a mutex-protected cache costs four (lock+unlock twice) — measured 2.5x
-// on the scaling_sweep churn workload.
+// so parking is one seq_cst exchange into a bin known to be empty;
+// popping and cross-thread stealing (collect()/global-miss drains) race
+// each other with exchange(0) — whoever reads the nonzero token owns the
+// name. The owner's approximate stack discipline (push above, pop below a
+// private top hint) keeps reuse hot without any cross-bin invariant that
+// steals could break. The hot Free+Get pair therefore costs two atomic
+// RMWs (the park and the pop), where a mutex-protected cache costs four
+// (lock+unlock twice), and no fence: the park's exchange doubles as the
+// fence of the Free's wakeup (the wake edge below).
 //
 // Names are globally unique: global = shard * stride + local, where
 // stride is the max inner slot count rounded up to a power of two (shard
@@ -52,11 +53,14 @@
 // TasCell array, identical in shape to the LevelArray's own Collect.
 //
 // Happens-before ledger (what makes the above sound):
-//   park(release store of the bin)  ->  steal/pop(acquire exchange):
+//   park(seq_cst exchange of the bin) ->  steal/pop(acquire exchange):
 //     covers the parker's held-bitmap clear and everything before it;
 //   drain's inner free(release)     ->  any later inner get(acquire RMW):
 //     covers re-issue of a drained name to another thread;
 //   fork/join in the harnesses      ->  reaper frees and final collect.
+// And the wake edge, an order in S (see wait_queue.hpp): the release
+// (park exchange, gate fetch_sub) -> wake's count_ load, against a
+// parking Get's count_ increment -> probe_capacity; all seq_cst.
 #pragma once
 
 #include <atomic>
@@ -254,8 +258,7 @@ class ShardedRenamer {
         if (accepted < want) {
           // Exact refund of the unclaimable remainder; the gate never
           // drifts past what this sweep actually takes.
-          count.occupancy.fetch_sub(want - accepted,
-                                    std::memory_order_relaxed);
+          refund_gate(s, want - accepted);
           count.refusals.fetch_add(1, std::memory_order_relaxed);
           ++refusals;
         }
@@ -265,13 +268,10 @@ class ShardedRenamer {
           got = api::get_batch(*shards_[s], rng, out + granted,
                                static_cast<std::size_t>(accepted));
         } catch (...) {
-          count.occupancy.fetch_sub(accepted, std::memory_order_relaxed);
+          refund_gate(s, accepted);
           throw;
         }
-        if (got < accepted) {
-          count.occupancy.fetch_sub(accepted - got,
-                                    std::memory_order_relaxed);
-        }
+        if (got < accepted) refund_gate(s, accepted - got);
         count.shared_gets.fetch_add(got, std::memory_order_relaxed);
         for (std::size_t g = 0; g < got; ++g) {
           GetResult inner = out[granted + g];
@@ -354,14 +354,14 @@ class ShardedRenamer {
     if (config_.cache_capacity != 0) {
       if (detail::CacheSlot* cache = cache_slot()) {
         park(*cache, name);
-        notify_one_release();
+        wait_queue_.wake_one();
         return;
       }
     }
     release_to_shard(name);
     counts_[static_cast<std::size_t>(name >> stride_shift_)]
         ->direct_frees.fetch_add(1, std::memory_order_relaxed);
-    notify_one_release();
+    wait_queue_.wake_one();
   }
 
   // Batch free: validate and clear every held bit first — catching
@@ -412,7 +412,7 @@ class ShardedRenamer {
   std::size_t collect(std::vector<std::uint64_t>& out) const {
     drain_bins(bins_.data(), bins_.size());
     collect_drains_.fetch_add(1, std::memory_order_relaxed);
-    notify_bulk_release();
+    wait_queue_.wake_all();
     return peek_held(out);
   }
 
@@ -453,12 +453,8 @@ class ShardedRenamer {
   void drain_caches() const {
     drain_bins(bins_.data(), bins_.size());
     drains_.fetch_add(1, std::memory_order_relaxed);
-    notify_bulk_release();
+    wait_queue_.wake_all();
   }
-
-  // The eventcount every capacity-releasing path signals; gate-refused
-  // callers (see get() above and bench_util::detail::drive) park on it.
-  sync::FutexWord& free_signal() const { return free_signal_; }
 
   api::WaitStats wait_stats() const {
     api::WaitStats stats;
@@ -597,7 +593,7 @@ class ShardedRenamer {
         detail::ShardCounters& count = *counts_[s];
         if (count.occupancy.fetch_add(1, std::memory_order_relaxed) >=
             gates_[s]) {
-          count.occupancy.fetch_sub(1, std::memory_order_relaxed);
+          refund_gate(s, 1);
           count.refusals.fetch_add(1, std::memory_order_relaxed);
           ++refusals;
           continue;
@@ -606,7 +602,7 @@ class ShardedRenamer {
         try {
           result = shards_[s]->get(rng);
         } catch (...) {
-          count.occupancy.fetch_sub(1, std::memory_order_relaxed);
+          refund_gate(s, 1);
           throw;
         }
         count.shared_gets.fetch_add(1, std::memory_order_relaxed);
@@ -657,28 +653,34 @@ class ShardedRenamer {
     }
   }
 
-  // Release notification, both flavors. Internal waiters sleep on the
-  // FIFO wait_queue_ (wake-one keeps releases from stampeding the whole
-  // queue at one freed slot); external callers — the drive loop parked
-  // via free_signal() — still sleep on the plain eventcount, so every
-  // release signals both. Both no-waiter fast paths are fence+load.
-  void notify_one_release() const {
-    wait_queue_.wake_one();
-    free_signal_.signal();
+  // Return `n` unused gate reservations. While they sat on the gate, a
+  // parking Get's probe could miss room a Free made (and woke for)
+  // before that Get registered, so a refund that leaves the gate below
+  // its bound is a release like any other: seq_cst RMW, then a wake.
+  void refund_gate(std::uint32_t s, std::uint64_t n) const {
+    const std::uint64_t before =
+        counts_[s]->occupancy.fetch_sub(n, std::memory_order_seq_cst);
+    if (before - n < gates_[s]) wake(n);
   }
 
-  void notify_bulk_release() const {
-    wait_queue_.wake_all();
-    free_signal_.signal();
+  // A single release grants the oldest waiter; a bulk one wakes the
+  // whole queue — the one case where that is the point, not a herd.
+  void wake(std::uint64_t released) const {
+    if (released == 1) {
+      wait_queue_.wake_one();
+    } else {
+      wait_queue_.wake_all();
+    }
   }
 
   // Release `name`'s underlying slot back to its shard. Gate decrement
   // strictly after the inner free: the gate must always upper-bound the
   // shard's true holds, or the inner Get termination argument breaks.
+  // seq_cst: the decrement is the release the caller's wake relies on.
   void release_to_shard(std::uint64_t name) const {
     const std::uint32_t s = static_cast<std::uint32_t>(name >> stride_shift_);
     shards_[s]->free(name & (stride_ - 1));
-    counts_[s]->occupancy.fetch_sub(1, std::memory_order_relaxed);
+    counts_[s]->occupancy.fetch_sub(1, std::memory_order_seq_cst);
   }
 
   // The one copy of the steal protocol: exchange each bin out and
@@ -778,29 +780,25 @@ class ShardedRenamer {
       counts_[s]->occupancy.fetch_sub(run, std::memory_order_relaxed);
       counts_[s]->direct_frees.fetch_add(run, std::memory_order_relaxed);
     }
-    // Bulk Free-k releases many slots at once — the one case where
-    // waking the whole queue is the point, not a herd.
-    if (count == 1) {
-      notify_one_release();
-    } else if (count != 0) {
-      notify_bulk_release();
-    }
+    if (count == 0) return;
+    // The bin stores and gate decrements above are not seq_cst; one
+    // fence puts the whole batch's release before the wake's count read.
+    la::detail::atomic_thread_fence(std::memory_order_seq_cst);
+    wake(count);
   }
 
   // Park-path re-check: is there any capacity a retry could claim? Gates
   // below their bound cover true free slots; nonzero bins cover parked
-  // names (gate-counted but reclaimable via a drain). Relaxed loads are
-  // sound inside the eventcount window: a release that this probe misses
-  // happened after prepare_wait registered us, so its signal() bumps the
-  // word and commit_wait returns immediately.
+  // names (gate-counted but reclaimable via a drain). seq_cst loads
+  // (plain movs on x86) are the waiter's half of the wake edge.
   bool probe_capacity() const {
     for (std::uint32_t s = 0; s < config_.shards; ++s) {
-      if (counts_[s]->occupancy.load(std::memory_order_relaxed) < gates_[s]) {
+      if (counts_[s]->occupancy.load(std::memory_order_seq_cst) < gates_[s]) {
         return true;
       }
     }
     for (const auto& bin : bins_) {
-      if (bin.load(std::memory_order_relaxed) != 0) return true;
+      if (bin.load(std::memory_order_seq_cst) != 0) return true;
     }
     return false;
   }
@@ -808,7 +806,8 @@ class ShardedRenamer {
   // Owner-only: park `name` at the stack top. Invariant: every nonzero
   // bin sits below `top` (park stores at top, pop lowers top to the bin
   // it took, steals only zero bins), so bins[top] is known empty and the
-  // fast path is a single release store. A saturated stack compacts:
+  // fast path is a single exchange — seq_cst, as the release the Free's
+  // wake relies on (an xchg on x86). A saturated stack compacts:
   // the owner sweeps its bins (exchanging out survivors — steals race
   // fairly), flushes the oldest batch to the shards if the cache was
   // genuinely full, and re-lays the rest from the bottom.
@@ -843,7 +842,7 @@ class ShardedRenamer {
       }
       cache.top = write;
     }
-    bins[cache.top].store(name + 1, std::memory_order_release);
+    bins[cache.top].exchange(name + 1, std::memory_order_seq_cst);
     ++cache.top;
     cache.parked.store(cache.parked.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
@@ -899,7 +898,7 @@ class ShardedRenamer {
     detail::CacheSlot& cache = *self->caches_[slot];
     self->drain_bins(self->bins_.data() + cache.first,
                      self->config_.cache_capacity);
-    self->notify_bulk_release();  // the flush may have released capacity
+    self->wait_queue_.wake_all();  // the flush may have released capacity
     cache.top = 0;  // published to the next claimer via claim_lock_
     sync::SpinLockGuard guard(self->claim_lock_);
     self->free_slots_.push_back(slot);
@@ -924,13 +923,10 @@ class ShardedRenamer {
   std::shared_ptr<CacheControl> control_;
   mutable la::detail::atomic<std::uint64_t> drains_{0};
   mutable la::detail::atomic<std::uint64_t> collect_drains_{0};
-  // The blocking tier (see get_for_impl): every release path notifies,
-  // refused getters park. Internal waiters use the ticketed FIFO
-  // wait_queue_ (wake-one + handoff bounds starvation by queue
-  // position); the plain free_signal_ eventcount remains for external
-  // parkers via free_signal(). Mutable because collect()'s drain
-  // releases capacity.
-  mutable sync::FutexWord free_signal_;
+  // The blocking tier (see get_for_impl): every release path wakes,
+  // refused getters park on the ticketed FIFO queue (wake-one + handoff
+  // bounds starvation by queue position). Mutable because collect()'s
+  // drain releases capacity.
   mutable sync::WaitQueue wait_queue_;
   mutable la::detail::atomic<std::uint64_t> gate_wait_rounds_{0};
   mutable la::detail::atomic<std::uint64_t> gate_parks_{0};

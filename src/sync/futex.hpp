@@ -18,9 +18,10 @@
 // immediately (value != seen). Sleeping through a wake is therefore
 // impossible; spurious returns are allowed and callers must loop.
 //
-// signal() is engineered for the hot path with no waiters: one seq_cst
-// fence plus one load, no RMW, no syscall — a Free in the uncontended
-// steady state pays nothing for the parked-waiter tier existing.
+// signal() with no waiters is one seq_cst fence plus one load, no RMW,
+// no syscall — but on x86 that fence is a full barrier, so the sharded
+// Free does not pay it: it wakes through WaitQueue::wake_one, ordered by
+// the Free's own seq_cst release RMW (see wait_queue.hpp).
 //
 // Timed waits use FUTEX_WAIT_BITSET, whose timeout is an *absolute*
 // CLOCK_MONOTONIC instant, and loop on EINTR and spurious returns until

@@ -20,8 +20,13 @@
 //            // re-check the condition (the capacity is *eligible*, not
 //            // reserved); kTimedOut: we unlinked ourselves, nothing owed.
 //
-//   waker:   release_capacity();
-//            q.wake_one();                   // grant the oldest ticket
+//   waker:   release_capacity();             // seq_cst RMW, or stores
+//            q.wake_one();                   // + one seq_cst fence
+//
+// The wakers carry no fence: the waiter's count_ increment and re-check
+// loads, the waker's release and its count_ load are all seq_cst, so
+// they sit in one total order S. Either the re-check follows the release
+// and sees it, or the increment precedes the count_ load, which sees it.
 //
 // Handoff: a woken waiter that loses the re-check race can re-enter with
 // prepare_wait(w, /*front=*/true), which re-queues it at the *head* —
@@ -118,7 +123,8 @@ class WaitQueue {
 
   // Abandon a prepared wait (the condition came true before sleeping).
   // If a grant raced in, re-donate it so the release it represents still
-  // wakes somebody.
+  // wakes somebody. The grant was read under the lock, so the original
+  // waker's count_ read happens-before ours: no fence needed here.
   void cancel_wait(Waiter& w) {
     bool granted;
     {
@@ -163,11 +169,9 @@ class WaitQueue {
   }
 
   // Grant the oldest queued ticket. Returns the granted ticket, or 0 if
-  // the queue was empty. The no-waiter fast path costs one fence + one
-  // load (mirrors FutexWord::signal), so release paths call it
-  // unconditionally.
+  // the queue was empty. The no-waiter fast path is one seq_cst load (a
+  // plain mov on x86); callers release capacity first (see the header).
   std::uint64_t wake_one() {
-    la::detail::atomic_thread_fence(std::memory_order_seq_cst);
     if (count_.load(std::memory_order_seq_cst) == 0) return 0;
     std::uint64_t ticket = 0;
     std::uint32_t bits = 0;
@@ -189,7 +193,6 @@ class WaitQueue {
   // Grant every queued ticket (bulk Free-k: many slots released at
   // once). Returns how many waiters were granted.
   std::size_t wake_all() {
-    la::detail::atomic_thread_fence(std::memory_order_seq_cst);
     if (count_.load(std::memory_order_seq_cst) == 0) return 0;
     std::size_t woken = 0;
     {

@@ -463,6 +463,43 @@ LA_VERIFY_CELL(sharded_park_pop,
   check_events(trace, *renamer, /*max_concurrent=*/2);
 }
 
+// The only name is held; the getter is refused and parks untimed; the
+// holder's single cached Free (park exchange, then a fenceless wake_one)
+// races that park. The holder frees from the getter's fourth refusal
+// round on — the verify Backoff parks after four pauses — and outlives
+// the grant, so its exit flush cannot mask a lost wake: a missed wake
+// leaves both blocked, which the explorer reports as a deadlock.
+LA_VERIFY_CELL(sharded_park_vs_cached_free,
+               "untimed parked Get vs a cached Free's fenceless wake") {
+  auto renamer = make_sharded(/*inner_capacity=*/1);
+  EventTrace trace;
+  int rng = 0;
+  la::verify::atom<std::uint32_t> holding{0};
+  la::verify::atom<std::uint32_t> granted{0};
+  spawn([&] {  // holder
+    const auto g = renamer->get(rng);
+    trace.did_get(1, g.name);
+    holding.store(1, std::memory_order_release);
+    spin_until([&] { return renamer->wait_stats().wait_rounds >= 4; });
+    trace.will_free(1, g.name);
+    renamer->free(g.name);  // cached: parks into this thread's bin
+    spin_until([&] { return granted.load(std::memory_order_acquire) == 1; });
+  });
+  spawn([&] {  // getter: refused until the holder's Free
+    spin_until([&] { return holding.load(std::memory_order_acquire) == 1; });
+    const auto g = renamer->get(rng);
+    trace.did_get(2, g.name);
+    granted.store(1, std::memory_order_release);
+    trace.will_free(2, g.name);
+    renamer->free(g.name);
+  });
+  join_all();
+  std::vector<std::uint64_t> names;
+  require(renamer->collect(names) == 0, "logical holds leaked");
+  require(renamer->gate_occupancy(0) == 0, "gate reservation drifted");
+  check_events(trace, *renamer, /*max_concurrent=*/1);
+}
+
 // Capacity 1 forces the steal path: one worker's parked name is the only
 // capacity in the system, so the other worker's Get must reclaim it via
 // the global-miss drain (or ride a concurrent collect()'s steal — thread
