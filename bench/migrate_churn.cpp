@@ -1,6 +1,6 @@
 // migrate_churn — live re-sharding migration under churn: N in-process
 // client threads drive batched Get-k/Free-k through the shared-memory
-// wire protocol against one Server<ckpt::AnyRenamer>, and mid-run the
+// wire protocol against one svc::Server, and mid-run the
 // main thread calls Server::migrate to swap the structure underneath
 // them — sharded:level with S shards becomes sharded:linear with 2S
 // shards (same per-shard inner capacity, so every held name still
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   const std::uint64_t stride = source->shard_stride();
 
   ckpt::AnyRenamer structure(std::move(source), "sharded:level");
-  svc::Server<ckpt::AnyRenamer> server(seg, structure);
+  svc::Server server(seg, structure);
   server.start();
 
   stress::EpochClock clock;

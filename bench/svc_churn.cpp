@@ -42,6 +42,7 @@
 #include "bench_util/options.hpp"
 #include "bench_util/report.hpp"
 #include "bench_util/timing.hpp"
+#include "ckpt/any_renamer.hpp"
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
@@ -261,12 +262,14 @@ int main(int argc, char** argv) {
   sharded.shards = 8;
   core::LevelArrayConfig level;
   level.capacity = (capacity + sharded.shards - 1) / sharded.shards;
-  scale::ShardedRenamer<core::LevelArray> structure(
-      sharded,
-      [&level](std::uint32_t) {
-        return std::make_unique<core::LevelArray>(level);
-      });
-  svc::Server<scale::ShardedRenamer<core::LevelArray>> server(seg, structure);
+  ckpt::AnyRenamer structure(
+      std::make_unique<scale::ShardedRenamer<core::LevelArray>>(
+          sharded,
+          [&level](std::uint32_t) {
+            return std::make_unique<core::LevelArray>(level);
+          }),
+      "sharded:level");
+  svc::Server server(seg, structure);
   server.start();
 
   int failures = 0;

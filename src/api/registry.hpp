@@ -18,6 +18,8 @@
 // the base structure, each holding ceil(capacity / S) of the contention
 // bound), so every bench, the stress matrix, the model fuzz suite, and
 // the sim executor cover the sharded variants with no per-harness code.
+// The svc layer adds one entry, `svc:sharded:level`: 7 flat + 7 sharded
+// + 1 daemon = 15.
 #pragma once
 
 #include <array>
@@ -214,30 +216,26 @@ struct ShardedEntry {
   }
 };
 
-// --- service variants ---------------------------------------------------
+// --- the service entry --------------------------------------------------
 
-// `svc:sharded:<name>`: the full rename-service daemon stack, in-process
+// `svc:sharded:level`: the full rename-service daemon stack, in-process
 // (svc::ServiceRenamer owns segment + sharded structure + server workers
 // + client, and the harness talks to the client). Every op round-trips
 // the real shared-memory wire protocol, so the whole harness suite
-// doubles as a daemon soak.
-template <typename Base>
+// doubles as a daemon soak. One entry is enough: the server fronts a
+// ckpt::AnyRenamer, so svc over any other inner would run the same
+// compiled server and client, and every inner is already covered flat
+// and as `sharded:*`.
 struct SvcEntry {
-  static constexpr auto kNameBuf =
-      concat_names<24>("svc:sharded:", Base::kName);
-  static constexpr std::string_view kName = kNameBuf.view();
-  static constexpr auto kLabelBuf =
-      concat_names<32>("Svc/Sharded/", Base::kLabel);
-  static constexpr std::string_view kLabel = kLabelBuf.view();
-  static constexpr auto kAliasBuf =
-      concat_names<24>("svc-sharded-", Base::kName);
+  using Inner = ShardedEntry<LevelEntry>;
+  static constexpr std::string_view kName = "svc:sharded:level";
+  static constexpr std::string_view kLabel = "Svc/Sharded/LevelArray";
   static constexpr std::array<std::string_view, 1> kAliases = {
-      kAliasBuf.view()};
+      "svc-sharded-level"};
   static constexpr std::string_view kSummary =
       "svc layer: rename-service daemon over the sharded structure, "
       "driven through shared-memory SPSC rings";
-  using Structure =
-      svc::ServiceRenamer<typename ShardedEntry<Base>::Structure>;
+  using Structure = svc::ServiceRenamer<Inner::Structure>;
 
   static std::unique_ptr<Structure> make(const RenamerConfig& c) {
     svc::ServiceConfig config;
@@ -245,7 +243,7 @@ struct SvcEntry {
     config.segment.ring_depth = c.svc_ring_depth;
     config.server_threads = c.svc_server_threads;
     return std::make_unique<Structure>(
-        config, [&c] { return ShardedEntry<Base>::make(c); });
+        config, [&c] { return Inner::make(c); });
   }
 };
 
@@ -255,11 +253,7 @@ using Entries =
                ShardedEntry<LevelEntry>, ShardedEntry<RandomEntry>,
                ShardedEntry<LinearEntry>, ShardedEntry<SequentialEntry>,
                ShardedEntry<BitmapEntry>, ShardedEntry<IdEntry>,
-               ShardedEntry<SplitterEntry>,
-               SvcEntry<LevelEntry>, SvcEntry<RandomEntry>,
-               SvcEntry<LinearEntry>, SvcEntry<SequentialEntry>,
-               SvcEntry<BitmapEntry>, SvcEntry<IdEntry>,
-               SvcEntry<SplitterEntry>>;
+               ShardedEntry<SplitterEntry>, SvcEntry>;
 
 inline constexpr std::size_t kEntryCount = std::tuple_size_v<Entries>;
 
@@ -281,12 +275,18 @@ static_assert(!has_batch_occupancy_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(!has_geometry_v<scale::ShardedRenamer<core::LevelArray>>);
 // The batch fast path: the paper's structure and the scale layer carry
 // native get_batch/free_batch; everything else rides the api fallback
-// loop (so batched harness traffic covers all 14 registry entries).
+// loop (so batched harness traffic covers every registry entry).
 static_assert(has_batch_ops_v<core::LevelArray>);
 static_assert(has_batch_ops_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(has_batch_ops_v<scale::ShardedRenamer<arrays::RandomArray>>);
 static_assert(has_batch_ops_v<scale::ShardedRenamer<SplitterRenamer>>);
 static_assert(!has_batch_ops_v<arrays::RandomArray>);  // fallback-served
+// The one service entry is the daemon over sharded:level — the type the
+// benches and perfbench name.
+static_assert(
+    std::is_same_v<
+        SvcEntry::Structure,
+        svc::ServiceRenamer<scale::ShardedRenamer<core::LevelArray>>>);
 // The service wrapper satisfies the full contract (get over the wire)
 // and carries the native batch surface — one slot ferries up to
 // svc::kMaxBatch names, so batched harness traffic amortizes the ring

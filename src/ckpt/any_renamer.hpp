@@ -1,22 +1,20 @@
 // ckpt::AnyRenamer — a type-erased Renamer whose implementation can be
-// swapped at runtime: the seam live re-sharding migration turns on.
-// svc::Server<Structure> holds a `Structure&` for the lifetime of its
-// workers, so the server cannot change structure *types* mid-run — but
-// it can front an AnyRenamer whose impl is replaced while the workers
-// are quiesced (Server::migrate): save() the old impl's image, build a
-// differently configured impl, restore() into it, replace(). Names keep
-// their numeric identity across the swap (the api::restore contract),
-// so the server's per-pid held bitmaps and every client's outstanding
-// names stay valid.
+// swapped at runtime: the rename-service daemon's only seam. svc::Server
+// fronts an AnyRenamer&, so the server is one class compiled once,
+// whatever structure sits behind it, and every daemon can migrate: while
+// Server::migrate holds the workers quiesced, the caller save()s the old
+// impl's image, builds a differently configured impl, restore()s into
+// it, and replace()s. Names keep their numeric identity across the swap
+// (the api::restore contract), so the server's per-pid held bitmaps and
+// every client's outstanding names stay valid.
 //
 // The virtual boundary is monomorphic on rng::MarsagliaXorshift — the
 // same anchor the static is_renamer_v contract detects against, and the
-// generator the svc worker loop instantiates — so AnyRenamer itself
-// satisfies the static contract (is_renamer_v, has_batch_ops_v,
-// has_snapshot_v) and drops into Server, api::save/restore, and the
-// harnesses unchanged. The indirection costs one virtual call per op;
-// the structures behind it amortize far more than that per op, and the
-// erasure is only used on the migration-capable service path.
+// generator the svc worker loop uses — so AnyRenamer itself satisfies
+// the static contract (is_renamer_v, has_batch_ops_v, has_snapshot_v,
+// has_wait_stats_v) and drops into api::save/restore and the harnesses
+// unchanged. The indirection costs one virtual call per op; on the
+// daemon path a wire round trip costs far more than that per op.
 //
 // replace() is NOT thread-safe: callers must own exclusive access to
 // the structure (Server::migrate's worker quiesce handshake provides
@@ -35,6 +33,7 @@
 #include "api/snapshot.hpp"
 #include "core/types.hpp"
 #include "rng/rng.hpp"
+#include "sync/cache.hpp"
 
 namespace la::ckpt {
 
@@ -77,6 +76,8 @@ class AnyRenamer {
   // path (e.g. splitter-backed impls) — has_adopt_held_v is necessarily
   // static, so the erased surface reports the gap at restore time.
   void adopt_held(std::uint64_t name) { impl_->adopt_held(name); }
+  // The erased structure's gate waits; all zero when it keeps none.
+  api::WaitStats wait_stats() const { return impl_->wait_stats(); }
 
  private:
   struct Concept {
@@ -90,10 +91,14 @@ class AnyRenamer {
     virtual std::uint64_t capacity() const = 0;
     virtual std::uint64_t total_slots() const = 0;
     virtual void adopt_held(std::uint64_t name) = 0;
+    virtual api::WaitStats wait_stats() const = 0;
   };
 
+  // The server worker loads the Model (vptr, inner pointer) on every
+  // op. Its own cache line keeps a heap neighbour that another thread
+  // writes from turning that load into a cross-core miss.
   template <typename T>
-  struct Model final : Concept {
+  struct alignas(sync::kCacheLineSize) Model final : Concept {
     explicit Model(std::unique_ptr<T> impl) : inner(std::move(impl)) {}
     GetResult get(rng::MarsagliaXorshift& rng) override {
       return inner->get(rng);
@@ -120,6 +125,13 @@ class AnyRenamer {
             "ckpt::AnyRenamer: the erased structure has no adoption path");
       }
     }
+    api::WaitStats wait_stats() const override {
+      if constexpr (api::has_wait_stats_v<T>) {
+        return inner->wait_stats();
+      } else {
+        return {};
+      }
+    }
     std::unique_ptr<T> inner;
   };
 
@@ -140,5 +152,6 @@ class AnyRenamer {
 static_assert(api::is_renamer_v<AnyRenamer>);
 static_assert(api::has_batch_ops_v<AnyRenamer>);
 static_assert(api::has_snapshot_v<AnyRenamer>);
+static_assert(api::has_wait_stats_v<AnyRenamer>);
 
 }  // namespace la::ckpt

@@ -43,6 +43,7 @@
 #include "api/renamer.hpp"
 #include "scale/thread_cache.hpp"
 #include "svc/segment.hpp"
+#include "sync/cache.hpp"
 #include "sync/spin_barrier.hpp"
 #include "sync/spin_lock.hpp"
 
@@ -445,7 +446,11 @@ class Client {
   std::uint32_t shared_ring_ = kNoRing;
   std::shared_ptr<scale::CacheControl> control_;
   sync::SpinLock shared_lock_;
-  mutable std::atomic<std::uint64_t> wait_rounds_{0};
+  // Bumped on every spin round of a waiting thread: a line of their own,
+  // so the fields every op reads (seg_, control_) never share it —
+  // wherever the allocator put the Client.
+  alignas(sync::kCacheLineSize) mutable std::atomic<std::uint64_t>
+      wait_rounds_{0};
   mutable std::atomic<std::uint64_t> parks_{0};
   mutable std::atomic<std::uint64_t> timeouts_{0};
 };

@@ -1,12 +1,13 @@
 // In-process packaging of the whole rename-service stack: one object
-// that owns the shared-memory segment, the backing structure, the
-// server workers, and a client — and exposes the client's
-// api::Renamer surface. This is what the registry instantiates for the
-// `svc:sharded:*` entries, so every existing harness (benches, stress
-// matrix, model fuzzer, contract tests) drives the daemon through the
-// real wire protocol without knowing it: the "structure" they call
-// get()/free() on is a svc::Client round-tripping cache-padded slots
-// through the segment to a worker thread.
+// that owns the shared-memory segment, the backing structure (behind a
+// ckpt::AnyRenamer, the seam svc::Server fronts), the server workers,
+// and a client — and exposes the client's api::Renamer surface. This is
+// what the registry instantiates for `svc:sharded:level`, so every
+// existing harness (benches, stress matrix, model fuzzer, contract
+// tests) drives the daemon through the real wire protocol without
+// knowing it: the "structure" they call get()/free() on is a svc::Client
+// round-tripping cache-padded slots through the segment to a worker
+// thread. server().migrate() swaps the backing structure live.
 //
 // Multi-process deployments skip this wrapper and compose the pieces
 // directly (create Segment, fork, Server::start() in the parent,
@@ -15,10 +16,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "api/renamer.hpp"
+#include "ckpt/any_renamer.hpp"
 #include "svc/client.hpp"
 #include "svc/segment.hpp"
 #include "svc/server.hpp"
@@ -36,11 +39,13 @@ class ServiceRenamer {
                 "ServiceRenamer fronts the api::Renamer contract");
 
  public:
+  // The AnyRenamer's tag starts empty: no registry key is known here; a
+  // migration's replace() names the new structure.
   template <typename Factory>
   ServiceRenamer(const ServiceConfig& config, Factory&& make_inner)
       : segment_(config.segment),
-        inner_(std::forward<Factory>(make_inner)()),
-        server_(segment_.view(), *inner_, config.server_threads) {
+        structure_(std::forward<Factory>(make_inner)(), std::string()),
+        server_(segment_.view(), structure_, config.server_threads) {
     server_.start();
     client_ = std::make_unique<Client>(segment_.view());
   }
@@ -93,25 +98,23 @@ class ServiceRenamer {
   // (the latter accumulate on the server workers).
   api::WaitStats wait_stats() const {
     api::WaitStats w = client_->wait_stats();
-    if constexpr (api::has_wait_stats_v<Inner>) {
-      const api::WaitStats inner = inner_->wait_stats();
-      w.wait_rounds += inner.wait_rounds;
-      w.parks += inner.parks;
-      // Not inner.timeouts: the server's GetKs carry no deadline (the
-      // pending list enforces expiry), so inner timeouts can't occur;
-      // the client's count is the caller-facing one either way.
-    }
+    const api::WaitStats inner = structure_.wait_stats();
+    w.wait_rounds += inner.wait_rounds;
+    w.parks += inner.parks;
+    // Not inner.timeouts: the server's GetKs carry no deadline (the
+    // pending list enforces expiry), so inner timeouts can't occur; the
+    // client's count is the caller-facing one either way.
     return w;
   }
 
   ServerStats server_stats() const { return server_.stats(); }
-  Server<Inner>& server() { return server_; }
+  Server& server() { return server_; }
   Client& client() { return *client_; }
 
  private:
   Segment segment_;
-  std::unique_ptr<Inner> inner_;
-  Server<Inner> server_;
+  ckpt::AnyRenamer structure_;
+  Server server_;
   std::unique_ptr<Client> client_;
 };
 

@@ -6,7 +6,9 @@
 // gates, double-free still detected), the restore-adjacent
 // seed_batch_occupancy edge (a full-capacity image must not overshoot
 // the target's gates), the collect()/peek_held() split and its drain
-// accounting, and the AnyRenamer replace cycle that migration rides on.
+// accounting, the AnyRenamer replace cycle that migration rides on, and
+// a live migration of the registry's daemon (svc:sharded:level re-sharded
+// into sharded:linear behind its server while a client holds names).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -14,8 +16,10 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "api/snapshot.hpp"
 #include "arrays/linear_probing_array.hpp"
 #include "ckpt/any_renamer.hpp"
@@ -23,6 +27,7 @@
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
+#include "svc/service.hpp"
 
 namespace {
 
@@ -456,6 +461,59 @@ void check_any_renamer_replace_cycle() {
   CHECK(any.collect(names) == 0);
 }
 
+// The registry's daemon fronts an AnyRenamer, so it can migrate: names
+// held through the client before the swap keep their identity in the
+// new shape (sharded:level, 4 shards -> sharded:linear, 8 shards at the
+// same stride), collect agrees across it, and every one of them frees
+// through the client afterwards.
+void check_registry_daemon_migrates() {
+  current = "registry-daemon-migrates";
+  la::api::RenamerConfig config;
+  config.capacity = 64;
+  config.shards = 4;
+  la::api::visit("svc:sharded:level", config, [&](auto& daemon) {
+    using S = std::decay_t<decltype(daemon)>;
+    if constexpr (std::is_same_v<S, la::svc::ServiceRenamer<ShardedLevel>>) {
+      la::rng::MarsagliaXorshift rng(23);
+      std::set<std::uint64_t> held;
+      for (int i = 0; i < 24; ++i) held.insert(daemon.client().get(rng).name);
+      CHECK(held.size() == 24);
+      std::vector<std::uint64_t> before;
+      CHECK(daemon.collect(before) == held.size());
+
+      std::size_t carried = 0;
+      daemon.server().migrate([&](la::ckpt::AnyRenamer& s) {
+        const la::ckpt::Image image = la::api::save(s, "sharded:level");
+        carried = image.held.size();
+        la::scale::ShardedConfig target_config;
+        target_config.shards = 2 * config.shards;
+        // The erased surface hides the shard stride; the sharded name
+        // space is shards x stride.
+        const std::uint64_t stride = s.total_slots() / config.shards;
+        const std::uint64_t shard_capacity = config.capacity / config.shards;
+        auto target = std::make_unique<ShardedLinear>(
+            target_config, [stride, shard_capacity](std::uint32_t) {
+              return std::make_unique<Linear>(stride, shard_capacity);
+            });
+        la::api::restore(*target, image);
+        s.replace(std::move(target), "sharded:linear");
+      });
+      CHECK(carried == held.size());
+      CHECK(daemon.server_stats().migrations == 1);
+      CHECK(daemon.server().error().empty());
+
+      std::vector<std::uint64_t> after;
+      CHECK(daemon.collect(after) == held.size());
+      CHECK(sorted_collect(after) == sorted_collect(before));
+      for (const auto name : held) daemon.client().free(name);
+      after.clear();
+      CHECK(daemon.collect(after) == 0);
+    } else {
+      CHECK(false);  // the registry key resolved to another type
+    }
+  });
+}
+
 }  // namespace
 
 int main() {
@@ -468,6 +526,7 @@ int main() {
   check_seed_batch_restore_gate_exactness();
   check_peek_held_vs_collect_drains();
   check_any_renamer_replace_cycle();
+  check_registry_daemon_migrates();
 
   if (failures == 0) {
     std::printf("test_ckpt: OK\n");

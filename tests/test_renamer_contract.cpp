@@ -104,8 +104,8 @@ int main() {
 
   const auto& infos = api::registered_structures();
   // The seven flat structures plus their seven sharded:* variants plus
-  // the seven svc:sharded:* daemon-backed variants.
-  CHECK(infos.size() == 21);
+  // the one daemon-backed entry, svc:sharded:level.
+  CHECK(infos.size() == 15);
 
   for (const auto& info : infos) {
     current = std::string(info.name);

@@ -30,10 +30,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
+#include "ckpt/any_renamer.hpp"
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
@@ -64,8 +66,9 @@ constexpr std::uint64_t kCollectCapacity = 512;
 [[noreturn]] void server_child(la::svc::SegmentView seg) {
   la::core::LevelArrayConfig cfg;
   cfg.capacity = kCapacity;
-  la::core::LevelArray structure(cfg);
-  la::svc::Server<la::core::LevelArray> server(seg, structure);
+  la::ckpt::AnyRenamer structure(std::make_unique<la::core::LevelArray>(cfg),
+                                 "level");
+  la::svc::Server server(seg, structure);
   server.start();
   for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
@@ -76,13 +79,14 @@ constexpr std::uint64_t kCollectCapacity = 512;
 [[noreturn]] void collect_server_child(la::svc::SegmentView seg) {
   la::core::LevelArrayConfig cfg;
   cfg.capacity = kCollectCapacity;
-  la::core::LevelArray structure(cfg);
-  const std::uint32_t batches = structure.geometry().num_batches();
+  auto level = std::make_unique<la::core::LevelArray>(cfg);
+  const std::uint32_t batches = level->geometry().num_batches();
   for (std::uint32_t k = 0; k < batches; ++k) {
-    (void)structure.seed_batch_occupancy(
-        k, structure.geometry().batch(k).size() * 7 / 8);
+    (void)level->seed_batch_occupancy(
+        k, level->geometry().batch(k).size() * 7 / 8);
   }
-  la::svc::Server<la::core::LevelArray> server(seg, structure);
+  la::ckpt::AnyRenamer structure(std::move(level), "level");
+  la::svc::Server server(seg, structure);
   server.start();
   for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
@@ -195,12 +199,14 @@ void test_forged_token(la::svc::SegmentView seg, pid_t holder_pid) {
   sharded.shards = 4;
   la::core::LevelArrayConfig level;
   level.capacity = kCapacity / sharded.shards;
-  la::scale::ShardedRenamer<la::core::LevelArray> structure(
-      sharded, [&level](std::uint32_t) {
-        return std::make_unique<la::core::LevelArray>(level);
-      });
-  la::svc::Server<la::scale::ShardedRenamer<la::core::LevelArray>> server(
-      seg, structure);
+  la::ckpt::AnyRenamer structure(
+      std::make_unique<la::scale::ShardedRenamer<la::core::LevelArray>>(
+          sharded,
+          [&level](std::uint32_t) {
+            return std::make_unique<la::core::LevelArray>(level);
+          }),
+      "sharded:level");
+  la::svc::Server server(seg, structure);
   server.start();
 
   // Wait until the holder provably holds names.

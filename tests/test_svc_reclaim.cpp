@@ -25,6 +25,7 @@
 
 #include <unistd.h>
 
+#include "ckpt/any_renamer.hpp"
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
@@ -121,11 +122,14 @@ int main() {
   sharded.shards = 4;
   core::LevelArrayConfig level;
   level.capacity = kCapacity / sharded.shards;
-  scale::ShardedRenamer<core::LevelArray> structure(
-      sharded, [&level](std::uint32_t) {
-        return std::make_unique<core::LevelArray>(level);
-      });
-  svc::Server<scale::ShardedRenamer<core::LevelArray>> server(seg, structure);
+  ckpt::AnyRenamer structure(
+      std::make_unique<scale::ShardedRenamer<core::LevelArray>>(
+          sharded,
+          [&level](std::uint32_t) {
+            return std::make_unique<core::LevelArray>(level);
+          }),
+      "sharded:level");
+  svc::Server server(seg, structure);
   server.start();
 
   // The clean child must finish green and leave nothing behind.
