@@ -39,11 +39,11 @@ run_bench_smoke() {
   echo "== bench-smoke: machine-readable bench pipeline =="
   ./build/collect_cost --scan=word --capacities=20000 --reps=200 \
     --json=build/BENCH_collect.json > /dev/null
-  ./build/fig2_throughput --threads=1,2 --mult=100 --seconds=0.05 \
+  ./build/sweep --threads=1,2 --mult=100 --seconds=0.05 \
     --json=build/BENCH_fig2.json > /dev/null
-  ./build/scaling_sweep --threads=1,2 --mult=2000 --seconds=0.05 \
-    --json=build/BENCH_scaling.json > /dev/null
-  ./build/scaling_sweep --algo=sharded:level --threads=2 --batch=1,16 \
+  ./build/sweep --algo=level,sharded:level --threads=1,2 --mult=2000 \
+    --seconds=0.05 --json=build/BENCH_scaling.json > /dev/null
+  ./build/sweep --algo=sharded:level --threads=2 --batch=1,16 \
     --mult=2000 --seconds=0.05 --cache=0 \
     --json=build/BENCH_batch.json > /dev/null
   python3 scripts/validate_bench_json.py \
@@ -51,14 +51,14 @@ run_bench_smoke() {
     build/BENCH_batch.json
   # The scale-layer acceptance bar on the *committed* snapshot (the
   # sharded win is a production-scale locality property — regenerate
-  # with `scaling_sweep --json=BENCH_scaling.json`, defaults are the
-  # production-scale config): sharded:level >= flat level at 8 threads.
+  # with `sweep --seconds=0.5 --mult=200000 --algo=level,sharded:level
+  # --json=BENCH_scaling.json`): sharded:level >= flat level at 8 threads.
   python3 scripts/validate_bench_json.py --scaling-gate=8 BENCH_scaling.json
   # The batch-amortization acceptance bar on the *committed* snapshot:
   # sharded:level at batch=16 must be >= 1.5x batch=1 at 8 threads.
   # Regenerate with
-  #   scaling_sweep --algo=sharded:level --threads=8 --batch=1,4,16,64 \
-  #     --cache=0 --json=BENCH_batch.json
+  #   sweep --seconds=0.5 --mult=200000 --algo=sharded:level --threads=8 \
+  #     --batch=1,4,16,64 --cache=0 --json=BENCH_batch.json
   # (cache=0 so every exchange pays the gate + probe path the batch
   # surface amortizes — the uncached regime is what the gate measures).
   python3 scripts/validate_bench_json.py --batch-gate=16 BENCH_batch.json

@@ -1,6 +1,7 @@
 #include "bench_util/options.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace la::bench {
 namespace {
@@ -125,13 +126,14 @@ std::string Options::get_string(const std::string& key,
   return value == nullptr ? std::move(def) : *value;
 }
 
-std::vector<std::uint64_t> Options::get_uint_list(
-    const std::string& key, std::vector<std::uint64_t> def) const {
+template <typename T, typename Parse>
+std::vector<T> Options::get_list(const std::string& key, std::vector<T> def,
+                                 Parse parse) const {
   const auto* value = lookup(key);
   if (value == nullptr) return def;
-  std::vector<std::uint64_t> out;
+  std::vector<T> out;
   for (const auto& part : split_commas(*value)) {
-    if (!part.empty()) out.push_back(parse_uint(key, part));
+    if (!part.empty()) out.push_back(parse(key, part));
   }
   if (out.empty()) {
     // An explicitly passed but empty list (e.g. --n=$UNSET) must not
@@ -141,18 +143,27 @@ std::vector<std::uint64_t> Options::get_uint_list(
   return out;
 }
 
+std::vector<std::uint64_t> Options::get_uint_list(
+    const std::string& key, std::vector<std::uint64_t> def) const {
+  return get_list(key, std::move(def), parse_uint);
+}
+
+std::vector<double> Options::get_double_list(const std::string& key,
+                                             std::vector<double> def) const {
+  return get_list(key, std::move(def), parse_double);
+}
+
+std::vector<std::uint64_t> Options::get_duration_ns_list(
+    const std::string& key, std::vector<std::uint64_t> def) const {
+  return get_list(key, std::move(def), parse_duration_ns);
+}
+
 std::vector<std::string> Options::get_string_list(
     const std::string& key, std::vector<std::string> def) const {
-  const auto* value = lookup(key);
-  if (value == nullptr) return def;
-  std::vector<std::string> out;
-  for (const auto& part : split_commas(*value)) {
-    if (!part.empty()) out.push_back(part);
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("--" + key + ": expected a non-empty list");
-  }
-  return out;
+  return get_list(key, std::move(def),
+                  [](const std::string&, const std::string& part) {
+                    return part;
+                  });
 }
 
 std::vector<std::string> Options::unused_keys() const {

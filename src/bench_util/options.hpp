@@ -26,8 +26,12 @@ class Options {
   std::uint64_t get_duration_ns(const std::string& key,
                                 std::uint64_t def) const;
 
-  // Comma-separated lists: --n=1024,4096,16384
+  // Comma-separated lists: --n=1024,4096,16384 (durations as above)
   std::vector<std::uint64_t> get_uint_list(
+      const std::string& key, std::vector<std::uint64_t> def) const;
+  std::vector<double> get_double_list(const std::string& key,
+                                      std::vector<double> def) const;
+  std::vector<std::uint64_t> get_duration_ns_list(
       const std::string& key, std::vector<std::uint64_t> def) const;
   std::vector<std::string> get_string_list(
       const std::string& key, std::vector<std::string> def) const;
@@ -37,6 +41,9 @@ class Options {
 
  private:
   const std::string* lookup(const std::string& key) const;
+  template <typename T, typename Parse>
+  std::vector<T> get_list(const std::string& key, std::vector<T> def,
+                          Parse parse) const;
 
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> used_;

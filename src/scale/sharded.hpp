@@ -133,7 +133,7 @@ struct CacheSlot {
 // One shard's gate + statistics, padded together: the gate RMW already
 // owns this line on every shard-path op, so the stat increments ride on
 // it for free instead of bouncing a separate global line (which would
-// bias the very cross-thread traffic scaling_sweep measures).
+// bias the very cross-thread traffic the thread-scaling sweep measures).
 struct ShardCounters {
   la::detail::atomic<std::uint64_t> occupancy{0};  // the refusal gate
   la::detail::atomic<std::uint64_t> shared_gets{0};

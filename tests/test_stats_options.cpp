@@ -1,6 +1,6 @@
 // Pins the shared utility layers: Welford, TrialStats, and the Options
-// command-line parser (uint lists, doubles, defaults, --csv, unused-key
-// tracking).
+// command-line parser (uint/double/duration lists, doubles, defaults,
+// --csv, unused-key tracking).
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -81,9 +81,10 @@ int main() {
 
   // --- Options --------------------------------------------------------
   {
-    std::vector<std::string> args = {"prog",       "--n=1,2,8", "--x=3.5",
-                                     "--name=abc", "--csv",     "--stray=1",
-                                     "--dists=a,b"};
+    std::vector<std::string> args = {
+        "prog",      "--n=1,2,8",     "--x=3.5",       "--name=abc",
+        "--csv",     "--stray=1",     "--dists=a,b",   "--fracs=0,0.25",
+        "--ttl=5ms,7"};
     std::vector<char*> argv;
     argv.reserve(args.size());
     for (auto& a : args) argv.push_back(a.data());
@@ -105,6 +106,10 @@ int main() {
 
     const auto strings = opts.get_string_list("dists", {});
     CHECK(strings.size() == 2 && strings[0] == "a" && strings[1] == "b");
+    const auto fracs = opts.get_double_list("fracs", {1.0});
+    CHECK(fracs.size() == 2 && near(fracs[0], 0.0) && near(fracs[1], 0.25));
+    const auto ttls = opts.get_duration_ns_list("ttl", {});
+    CHECK(ttls.size() == 2 && ttls[0] == 5000000 && ttls[1] == 7);
 
     // Only --stray was never queried.
     const auto unused = opts.unused_keys();
@@ -115,6 +120,13 @@ int main() {
     bool threw = false;
     try {
       (void)opts.get_uint("name", 0);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw);
+    threw = false;
+    try {
+      (void)opts.get_double_list("dists", {});
     } catch (const std::invalid_argument&) {
       threw = true;
     }
