@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "arrays/linear_probing_array.hpp"
+#include "bench_util/churn.hpp"
 #include "bench_util/options.hpp"
 #include "bench_util/report.hpp"
 #include "bench_util/timing.hpp"
@@ -55,18 +56,19 @@ constexpr std::uint64_t kNsPerSec = 1'000'000'000ull;
 
 struct ThreadResult {
   stress::EventLog log;
+  bench::ChurnCounters counters;
+  // The thread's ops and elapsed time when it first saw the migrated
+  // flag; the rest of counters is post-migration.
   std::uint64_t ops_pre = 0;
-  std::uint64_t ops_post = 0;
   double secs_pre = 0.0;
-  double secs_post = 0.0;
 };
 
-// One client thread's churn loop: batched Free-k then Get-k bounded by
-// its share, every op ticketed into the local event log (Free before
-// the release, Get after the grant — see stress/event_log.hpp). The
-// thread splits its op/elapsed counters the first time it observes the
-// migrated flag, and holds its names across the boundary: the drain at
-// the end waits for the migration, so every thread's trace spans it.
+// One client thread: prefill to the full share, then batched Free-k and
+// Get-k bounded by the share on the churn engine, every op ticketed into
+// the local event log. The thread splits its op/elapsed counters the
+// first time it observes the migrated flag, and holds its names across
+// the boundary: the drain at the end waits for the migration, so every
+// thread's trace spans it.
 void churn(svc::SegmentView seg, stress::EpochClock& clock,
            std::uint32_t idx, std::uint64_t ops_target, std::uint64_t share,
            std::uint64_t batch, std::uint64_t seed,
@@ -76,61 +78,24 @@ void churn(svc::SegmentView seg, stress::EpochClock& clock,
   rng::MarsagliaXorshift rng(rng::mix_seed(seed, idx + 1));
   r.log.reserve(ops_target + 2 * share);
   std::vector<std::uint64_t> held;
-  std::vector<std::uint64_t> victims(batch);
-  std::vector<GetResult> got(batch);
-  std::uint64_t ops = 0;
+  bench::Churn engine(client, rng, r.counters, held, batch,
+                      stress::EventRecorder{r.log, clock, idx});
   bool saw_migrate = false;
 
-  bench::Stopwatch watch;
+  bench::Budget budget(ops_target, 0.0);
   // Prefill to the full share so the hold set stays near `share` for the
   // whole run — the migration always finds a substantial set of names to
   // carry across (capacity is exactly share * threads, so every thread
   // can reach its share).
-  {
-    sync::Backoff backoff;
-    while (held.size() < share) {
-      std::size_t want = batch;
-      if (held.size() + want > share) want = share - held.size();
-      const std::size_t granted = client.get_batch(rng, got.data(), want);
-      for (std::size_t j = 0; j < granted; ++j) {
-        r.log.record(clock, idx, stress::Op::kGet, got[j].name);
-        held.push_back(got[j].name);
-      }
-      ops += granted;
-      if (granted == 0) backoff.pause();
-    }
-  }
-  while (ops < ops_target) {
-    const std::size_t nfree = held.size() < batch ? held.size() : batch;
-    for (std::size_t j = 0; j < nfree; ++j) {
-      const std::uint64_t victim = rng::bounded(rng, held.size());
-      victims[j] = held[victim];
-      held[victim] = held.back();
-      held.pop_back();
-      r.log.record(clock, idx, stress::Op::kFree, victims[j]);
-    }
-    if (nfree != 0) {
-      client.free_batch(victims.data(), nfree);
-      ops += nfree;
-    }
-    std::size_t want = batch;
-    if (held.size() + want > share) want = share - held.size();
-    sync::Backoff backoff;
-    while (want != 0) {
-      const std::size_t granted = client.get_batch(rng, got.data(), want);
-      for (std::size_t j = 0; j < granted; ++j) {
-        r.log.record(clock, idx, stress::Op::kGet, got[j].name);
-        held.push_back(got[j].name);
-      }
-      ops += granted;
-      want -= granted;
-      if (want != 0) backoff.pause();
-    }
+  engine.get_some(share, share, api::kNoDeadline);
+  while (!budget.exhausted(r.counters)) {
+    engine.free_some(batch);
+    engine.get_some(batch, share, api::kNoDeadline);
     global_ops.fetch_add(1, std::memory_order_relaxed);
     if (!saw_migrate && migrated.load(std::memory_order_acquire) != 0) {
       saw_migrate = true;
-      r.ops_pre = ops;
-      r.secs_pre = watch.elapsed_seconds();
+      r.ops_pre = r.counters.ops;
+      r.secs_pre = budget.elapsed_seconds();
     }
   }
   // Hold the boundary: do not drain until the migration has happened, so
@@ -140,19 +105,12 @@ void churn(svc::SegmentView seg, stress::EpochClock& clock,
     sync::Backoff backoff;
     while (migrated.load(std::memory_order_acquire) == 0) backoff.pause();
   }
-  for (const auto name : held) {
-    r.log.record(clock, idx, stress::Op::kFree, name);
-    client.free(name);
-    ++ops;
-  }
-  held.clear();
-  const double total = watch.elapsed_seconds();
+  r.counters.ops += engine.drain();
+  r.counters.seconds_active = budget.elapsed_seconds();
   if (!saw_migrate) {  // migration raced past the loop's last check
-    r.ops_pre = ops;
-    r.secs_pre = total;
+    r.ops_pre = r.counters.ops;
+    r.secs_pre = r.counters.seconds_active;
   }
-  r.ops_post = ops - r.ops_pre;
-  r.secs_post = total - r.secs_pre;
 }
 
 void print_usage() {
@@ -327,9 +285,10 @@ int main(int argc, char** argv) {
   double secs_post = 0.0;
   for (const auto& r : results) {
     ops_pre += r.ops_pre;
-    ops_post += r.ops_post;
+    ops_post += r.counters.ops - r.ops_pre;
     if (r.secs_pre > secs_pre) secs_pre = r.secs_pre;
-    if (r.secs_post > secs_post) secs_post = r.secs_post;
+    const double post = r.counters.seconds_active - r.secs_pre;
+    if (post > secs_post) secs_post = post;
   }
   const double pre_ops_per_sec =
       secs_pre > 0.0 ? static_cast<double>(ops_pre) / secs_pre : 0.0;

@@ -4,8 +4,14 @@
 // (this one), checks every client's event trace with the stress
 // invariant checker, exercises the dead-client reclaim path by
 // kill -9'ing a client that holds names, and reports aggregate
-// throughput next to an in-process sharded:level baseline driven by the
-// same loop shape (bench_util's churn driver).
+// throughput next to an in-process sharded:level baseline.
+//
+// Both runs use the same churn engine (bench_util/churn.hpp) at the same
+// load: every client, like every baseline thread, first fills to half its
+// share of the contention bound, then frees `batch` random names and
+// claims `batch` new ones per round until it has done `ops` Gets and
+// Frees (the fill is neither timed nor counted). So the --svc-gate ratio
+// compares the wire, not two workloads.
 //
 //   svc_churn --clients=4 --ops=100000 --batch=16 --kill-one
 //   svc_churn --clients=4 --json=BENCH_svc.json
@@ -39,9 +45,9 @@
 #include <unistd.h>
 
 #include "bench_util/algos.hpp"
+#include "bench_util/churn.hpp"
 #include "bench_util/options.hpp"
 #include "bench_util/report.hpp"
-#include "bench_util/timing.hpp"
 #include "ckpt/any_renamer.hpp"
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
@@ -67,8 +73,13 @@ constexpr std::uint64_t kNsPerSec = 1'000'000'000ull;
 std::uint64_t ops_word(std::uint32_t i) { return 2 + 2 * std::uint64_t{i}; }
 std::uint64_t ns_word(std::uint32_t i) { return 3 + 2 * std::uint64_t{i}; }
 
-// The churn loop one client process runs: batched Free-k/Get-k against
-// its svc::Client, every op recorded in a local event log that is
+// The fraction of its share every client holds, as the in-process
+// baseline's prefill does, so the two runs churn at the same load.
+constexpr double kPrefill = 0.5;
+
+// The loop one client process runs: prefill to the in-process
+// baseline's hold, then batched Free-k/Get-k on the churn engine against
+// its svc::Client, every op ticketed into a local event log that is
 // replayed through the invariant checker before exit. The log is local
 // to the process (cross-process uniqueness is enforced by the server's
 // per-pid bitmaps and the parent's final collect()==0 check), so what
@@ -82,48 +93,27 @@ int churn(svc::SegmentView seg, std::uint32_t idx, std::uint64_t ops_target,
   stress::EpochClock clock;
   stress::EventLog log;
   log.reserve(ops_target + 2 * share);
+  bench::ChurnCounters counters;
   std::vector<std::uint64_t> held;
-  std::vector<std::uint64_t> victims(batch);
-  std::vector<GetResult> got(batch);
-  std::uint64_t ops = 0;
+  bench::Churn engine(client, rng, counters, held, batch,
+                      stress::EventRecorder{log, clock, idx});
 
-  bench::Stopwatch watch;
-  while (ops < ops_target) {
-    const std::size_t nfree = held.size() < batch ? held.size() : batch;
-    for (std::size_t j = 0; j < nfree; ++j) {
-      const std::uint64_t victim = rng::bounded(rng, held.size());
-      victims[j] = held[victim];
-      held[victim] = held.back();
-      held.pop_back();
-      // Free tickets before the release (see event_log.hpp).
-      log.record(clock, idx, stress::Op::kFree, victims[j]);
-    }
-    if (nfree != 0) {
-      client.free_batch(victims.data(), nfree);
-      ops += nfree;
-    }
-    std::size_t want = batch;
-    if (held.size() + want > share) want = share - held.size();
-    sync::Backoff backoff;
-    while (want != 0) {
-      const std::size_t granted = client.get_batch(rng, got.data(), want);
-      for (std::size_t j = 0; j < granted; ++j) {
-        log.record(clock, idx, stress::Op::kGet, got[j].name);
-        held.push_back(got[j].name);
-      }
-      ops += granted;
-      want -= granted;
-      if (want != 0) backoff.pause();
-    }
+  // The prefill is setup, as it is for the baseline: it stays out of the
+  // op count and the clock.
+  const auto hold =
+      static_cast<std::uint64_t>(kPrefill * static_cast<double>(share));
+  engine.get_some(hold, share, api::kNoDeadline);
+  counters = bench::ChurnCounters{};
+  bench::Budget budget(ops_target, 0.0);
+  while (!budget.exhausted(counters)) {
+    engine.free_some(batch);
+    engine.get_some(batch, share, api::kNoDeadline);
   }
-  for (const auto name : held) {
-    log.record(clock, idx, stress::Op::kFree, name);
-    client.free(name);
-  }
-  held.clear();
-  const double elapsed = watch.elapsed_seconds();
+  const double elapsed = budget.elapsed_seconds();
+  engine.drain();
 
-  seg.header().scratch[ops_word(idx)].store(ops, std::memory_order_relaxed);
+  seg.header().scratch[ops_word(idx)].store(counters.ops,
+                                            std::memory_order_relaxed);
   seg.header().scratch[ns_word(idx)].store(
       static_cast<std::uint64_t>(elapsed * static_cast<double>(kNsPerSec)),
       std::memory_order_relaxed);
@@ -147,30 +137,21 @@ int churn(svc::SegmentView seg, std::uint32_t idx, std::uint64_t ops_target,
                                std::uint64_t seed) {
   svc::Client client(seg);
   rng::MarsagliaXorshift rng(rng::mix_seed(seed, 0xDEADu));
-  std::vector<GetResult> got(hold);
-  std::size_t have = 0;
-  sync::Backoff backoff;
-  while (have < hold) {
-    const std::size_t granted =
-        client.get_batch(rng, got.data() + have, hold - have);
-    have += granted;
-    if (have < hold) backoff.pause();
-  }
-  seg.header().scratch[0].store(have, std::memory_order_release);
+  bench::ChurnCounters counters;
+  std::vector<std::uint64_t> held;
+  bench::Churn engine(client, rng, counters, held, hold);
+  engine.get_some(hold, hold, api::kNoDeadline);
+  seg.header().scratch[0].store(held.size(), std::memory_order_release);
   for (;;) std::this_thread::yield();  // parked mid-hold until SIGKILL
 }
 
 // Run `fn` on a joined thread, so its ring attachment is released by the
 // thread-exit hook before the child leaves via _exit (which skips TLS
 // destructors on the main thread).
-int on_worker_thread(int (*fn)(svc::SegmentView, std::uint32_t,
-                               std::uint64_t, std::uint64_t, std::uint64_t,
-                               std::uint64_t),
-                     svc::SegmentView seg, std::uint32_t idx,
-                     std::uint64_t ops, std::uint64_t share,
-                     std::uint64_t batch, std::uint64_t seed) {
+template <typename Fn>
+int on_worker_thread(Fn fn) {
   int rc = 4;
-  std::thread worker([&] { rc = fn(seg, idx, ops, share, batch, seed); });
+  std::thread worker([&] { rc = fn(); });
   worker.join();
   return rc;
 }
@@ -238,8 +219,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (pid == 0) {
-      ::_exit(on_worker_thread(churn, seg, i, ops_target, share, batch,
-                               seed));
+      ::_exit(on_worker_thread(
+          [&] { return churn(seg, i, ops_target, share, batch, seed); }));
     }
     children.push_back(pid);
   }
@@ -251,9 +232,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (holder == 0) {
-      std::thread worker([&] { hold_forever(seg, hold, seed); });
-      worker.join();  // unreachable
-      ::_exit(4);
+      ::_exit(on_worker_thread(
+          [&]() -> int { hold_forever(seg, hold, seed); }));
     }
   }
 
@@ -366,7 +346,7 @@ int main(int argc, char** argv) {
   point.driver.ops_per_thread = ops_target;
   point.driver.batch = batch;
   point.driver.seed = seed;
-  point.driver.prefill = 0.5;
+  point.driver.prefill = kPrefill;
   const bench::RunResult baseline = bench::run_algo("sharded:level", point);
   std::printf("sharded:level      ops=%llu  elapsed=%.3fs  ops/s=%.0f  "
               "(in-process baseline)\n",
@@ -401,10 +381,11 @@ int main(int argc, char** argv) {
         .set("mode", "inprocess")
         .set("threads", clients)
         .set("batch", static_cast<std::uint64_t>(batch))
-        .set_object("config", bench::JsonObject()
-                                  .set("ops_per_thread", ops_target)
-                                  .set("capacity", capacity)
-                                  .set("seed", seed))
+        .set_object("config",
+                    bench::JsonObject()
+                        .set("ops_per_thread", ops_target)
+                        .set("capacity", bench::renamer_config(point).capacity)
+                        .set("seed", seed))
         .set("ops_per_sec", baseline.throughput_ops_per_sec)
         .set("total_ops", baseline.total_ops)
         .set("elapsed_seconds", baseline.elapsed_seconds)

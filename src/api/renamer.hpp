@@ -32,8 +32,9 @@
 // capacity exactly. Callers own the retry loop and must not busy-loop
 // the refusal path: either back off between rounds (sync::Backoff), or
 // retry through api::get_batch_for, which lets a structure with deadline
-// ops wait on its own wait queue until it can grant (the churn driver
-// does this, with the run's end as the deadline).
+// ops wait on its own wait queue until it can grant (the churn engine's
+// get_some in bench_util/churn.hpp does this, with the exchange's
+// deadline or else the run's end).
 // free_batch frees all k names; it throws on the first bad name, at
 // which point the earlier names in the batch are already freed (callers
 // treating a throw as fatal — every harness here — need no rollback).

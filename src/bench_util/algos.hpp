@@ -2,9 +2,9 @@
 // The workload follows the paper's §6 methodology: each of n threads
 // emulates `mult` registrants (N = n*mult total), the array holds
 // L = size_factor * N slots, a prefill fraction is registered up front,
-// and the main loop is back-to-back Free+Get churn — either for a fixed
-// op count (reproducible trial metrics) or a fixed wall-clock window
-// (throughput).
+// and the main loop is back-to-back Free+Get churn on the churn engine
+// (churn.hpp) — either for a fixed op count (reproducible trial metrics)
+// or a fixed wall-clock window (throughput).
 //
 // Structures are addressed by their api::registry name (or alias), so
 // every registered Renamer — not a hard-coded enum — can be driven, under
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "api/renamer.hpp"
-#include "bench_util/timing.hpp"
+#include "bench_util/churn.hpp"
 #include "rng/rng.hpp"
 #include "stats/summary.hpp"
 #include "stats/welford.hpp"
@@ -47,7 +47,7 @@ struct DriverConfig {
   // individual Gets and Frees.
   std::uint64_t batch = 1;
   // Per-exchange Get budget in nanoseconds (0 = wait forever). Routed
-  // through api::get_for / api::get_batch_for on structures with
+  // through api::get_batch_for on structures with
   // deadline ops (api::has_deadline_ops_v); an expired exchange is
   // abandoned and counted in RunResult::timeouts. Structures without
   // the native surface ignore it (their untimed fallback cannot refuse).
@@ -107,30 +107,25 @@ RunResult run_algo(const std::string& name_or_alias, const SweepPoint& point);
 
 namespace detail {
 
+// One thread's counters and stash of held names. The stash lives here so
+// its header shares the padded cache line with the thread's own
+// counters, not a neighbor's.
 struct ThreadOutput {
-  stats::TrialStats trials;
-  std::uint64_t ops = 0;
-  std::uint64_t backup_gets = 0;
-  std::uint64_t timeouts = 0;     // deadline_ns exchanges that expired
-  // The thread's stash of held names lives here so its header shares the
-  // padded cache line with the thread's own counters, not a neighbor's.
+  ChurnCounters counters;
   std::vector<std::uint64_t> held;
-  // Barrier-to-loop-end time, so throughput excludes spawn/join/drain.
-  double seconds_active = 0.0;
 };
 
 // The churn loop proper. Each thread owns a stash of held names (its
 // share of the prefill, plus whatever it registers); every iteration
-// frees one random stashed name and registers a new one — the paper's
-// back-to-back register/deregister pattern at constant load.
+// frees `batch` random stashed names and registers as many new ones —
+// the paper's back-to-back register/deregister pattern at constant load.
 template <typename Array, typename Rng>
 RunResult drive(Array& array, const DriverConfig& d) {
   const std::uint32_t threads = d.threads == 0 ? 1 : d.threads;
   const std::uint64_t n = d.emulated_registrants();
-  const bool timed = d.ops_per_thread == 0;
 
   RunResult result;
-  if (timed && d.seconds <= 0.0) return result;
+  if (d.ops_per_thread == 0 && d.seconds <= 0.0) return result;
 
   std::vector<sync::CachePadded<ThreadOutput>> outputs(threads);
 
@@ -149,6 +144,8 @@ RunResult drive(Array& array, const DriverConfig& d) {
 
   const std::size_t batch =
       d.batch == 0 ? 1 : static_cast<std::size_t>(d.batch);
+  const bool exchange_deadline =
+      api::has_deadline_ops_v<Array> && d.deadline_ns != 0;
 
   sync::SpinBarrier barrier(threads);
   {
@@ -156,136 +153,47 @@ RunResult drive(Array& array, const DriverConfig& d) {
     group.spawn(threads, [&](std::uint32_t tid) {
       Rng rng(rng::mix_seed(d.seed, tid + 1));
       ThreadOutput& out = *outputs[tid];
-      std::vector<std::uint64_t>& held = out.held;
-      std::vector<std::uint64_t> victims(batch);
-      std::vector<GetResult> got(batch);
       barrier.wait();
-      Stopwatch local;
-      const std::uint64_t run_end =
-          timed ? sync::FutexWord::monotonic_now_ns() +
-                      static_cast<std::uint64_t>(d.seconds * 1e9)
-                : api::kNoDeadline;
-      if (batch == 1) {
-        for (std::uint64_t iter = 0;; ++iter) {
-          if (timed) {
-            if ((iter & 63u) == 0 && local.elapsed_seconds() >= d.seconds) {
-              break;
-            }
-          } else if (out.ops >= d.ops_per_thread) {
-            // ops counts Gets and Frees individually, matching the
-            // paper's "register and unregister operations" accounting.
-            break;
-          }
-          if (!held.empty()) {
-            const std::uint64_t victim = rng::bounded(rng, held.size());
-            array.free(held[victim]);
-            held[victim] = held.back();
-            held.pop_back();
-            ++out.ops;
-          }
-          GetResult r;
-          bool granted = true;
-          if constexpr (api::has_deadline_ops_v<Array>) {
-            if (d.deadline_ns != 0) {
-              granted = api::get_for(
-                  array, rng, r,
-                  sync::FutexWord::monotonic_now_ns() + d.deadline_ns);
-            } else {
-              r = array.get(rng);
-            }
-          } else {
-            r = array.get(rng);
-          }
-          if (!granted) {
-            // Timed-out refusal: the attempt still spends loop budget
-            // (otherwise an ops-mode run on a saturated structure would
-            // never terminate).
-            ++out.timeouts;
-            ++out.ops;
-            continue;
-          }
-          out.trials.record(r.probes);
-          if (r.used_backup) ++out.backup_gets;
-          held.push_back(r.name);
-          ++out.ops;
+      Budget budget(d.ops_per_thread, d.seconds);
+      Churn<Array, Rng> churn(array, rng, out.counters, out.held, batch,
+                              NoEvents{}, budget.end_ns());
+      if (batch == 1 && !exchange_deadline) {
+        // Constant arguments fold the steps down to array.free and
+        // array.get, which keeps the single-op loop at its hand-written
+        // speed (with a runtime batch and deadline here, the 4-thread
+        // single-op sweep ran 5-10% slower on a 4-core Xeon).
+        while (!budget.exhausted(out.counters)) {
+          churn.free_some(1);
+          churn.get_some(1, kNoCap, api::kNoDeadline);
         }
       } else {
-        // Batched churn: one Free-k/Get-k exchange per iteration (each
-        // iteration is ~2*batch ops, so the clock poll every 8 is at
-        // most one read per 16 ops even at batch=2).
-        for (std::uint64_t iter = 0;; ++iter) {
-          if (timed) {
-            if ((iter & 7u) == 0 && local.elapsed_seconds() >= d.seconds) {
-              break;
-            }
-          } else if (out.ops >= d.ops_per_thread) {
-            break;
-          }
-          const std::size_t nfree =
-              held.size() < batch ? held.size() : batch;
-          for (std::size_t j = 0; j < nfree; ++j) {
-            const std::uint64_t victim = rng::bounded(rng, held.size());
-            victims[j] = held[victim];
-            held[victim] = held.back();
-            held.pop_back();
-          }
-          if (nfree != 0) {
-            api::free_batch(array, victims.data(), nfree);
-            out.ops += nfree;
-          }
-          // A gate-bounded structure may grant the batch partially, or
-          // refuse it outright. Retry the remainder through
-          // api::get_batch_for: a structure with deadline ops then waits
-          // (spin, yield, park on its own wait queue) until it can grant
-          // something. The deadline is the exchange's own budget when one
-          // is set — an expired exchange abandons the remainder as a
-          // timed-out refusal — and otherwise the end of a timed run, so
-          // no thread stays parked past it.
-          const bool exchange_deadline =
-              api::has_deadline_ops_v<Array> && d.deadline_ns != 0;
-          const std::uint64_t until =
-              exchange_deadline
-                  ? sync::FutexWord::monotonic_now_ns() + d.deadline_ns
-                  : run_end;
-          for (std::size_t want = batch; want != 0;) {
-            const std::size_t granted =
-                api::get_batch_for(array, rng, got.data(), want, until);
-            if (granted == 0) {
-              if (exchange_deadline) {
-                ++out.timeouts;
-                ++out.ops;  // the refused remainder spends loop budget
-              }
-              break;
-            }
-            for (std::size_t j = 0; j < granted; ++j) {
-              out.trials.record(got[j].probes);
-              if (got[j].used_backup) ++out.backup_gets;
-              held.push_back(got[j].name);
-            }
-            out.ops += granted;
-            want -= granted;
-          }
+        while (!budget.exhausted(out.counters)) {
+          churn.free_some(batch);
+          churn.get_some(batch, kNoCap,
+                         exchange_deadline
+                             ? sync::FutexWord::monotonic_now_ns() +
+                                   d.deadline_ns
+                             : api::kNoDeadline);
         }
       }
-      out.seconds_active = local.elapsed_seconds();
+      out.counters.seconds_active = budget.elapsed_seconds();
       // Drain the stash so the array is empty for the next run/chunk.
-      for (const auto name : held) array.free(name);
-      held.clear();
+      churn.drain();
     });
   }
 
   stats::Welford per_thread_worst;
   for (std::uint32_t tid = 0; tid < threads; ++tid) {
-    const ThreadOutput& out = *outputs[tid];
-    result.trials.merge(out.trials);
-    result.total_ops += out.ops;
-    result.backup_gets += out.backup_gets;
-    result.timeouts += out.timeouts;
-    per_thread_worst.add(static_cast<double>(out.trials.worst_case()));
+    const ChurnCounters& c = outputs[tid]->counters;
+    result.trials.merge(c.trials);
+    result.total_ops += c.ops;
+    result.backup_gets += c.backup_gets;
+    result.timeouts += c.timeouts;
+    per_thread_worst.add(static_cast<double>(c.trials.worst_case()));
     // Slowest thread's barrier-to-loop-end time: excludes spawn, join,
     // and the untimed stash drain.
-    if (out.seconds_active > result.elapsed_seconds) {
-      result.elapsed_seconds = out.seconds_active;
+    if (c.seconds_active > result.elapsed_seconds) {
+      result.elapsed_seconds = c.seconds_active;
     }
   }
   // Structures that track their own gate waiting (the scale layer's

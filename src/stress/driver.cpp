@@ -10,7 +10,7 @@
 
 #include "api/registry.hpp"
 #include "api/renamer.hpp"
-#include "bench_util/timing.hpp"
+#include "bench_util/churn.hpp"
 #include "bench_util/workload.hpp"
 #include "sim/metrics.hpp"
 #include "sync/cache.hpp"
@@ -31,24 +31,12 @@ constexpr std::uint64_t kMinCheckedBatchSlots = 16;
 // steady state and comfortably below "jammed".
 constexpr double kMaxDeepBatchFill = 0.85;
 
-// One name held by the zipf scenario, due back at `expires` (in the
-// owning thread's iteration count).
-struct TimedHold {
-  std::uint64_t name = 0;
-  std::uint64_t expires = 0;
-};
-
 struct ThreadState {
   EventLog log;
-  stats::TrialStats trials;
-  std::uint64_t ops = 0;
-  std::uint64_t backup_gets = 0;
+  bench::ChurnCounters counters;
   std::uint64_t timed_gets = 0;
-  std::uint64_t timeouts = 0;
-  double seconds_active = 0.0;
   std::string error;  // non-empty = the thread died on an exception
   std::vector<std::uint64_t> held;
-  std::vector<TimedHold> timed_held;
 };
 
 // Per-scenario sizing: how many names one thread keeps in flight.
@@ -76,100 +64,39 @@ std::uint64_t per_thread_target(const StressConfig& cfg) {
   return 1;
 }
 
-// Shared bookkeeping for one worker's Get / Free, with logging in the
-// sound ticket order (see event_log.hpp).
-template <typename Array, typename Rng>
-std::uint64_t logged_get(Array& array, Rng& rng, EpochClock& clock,
-                         ThreadState& st, std::uint32_t tid) {
-  const GetResult r = array.get(rng);
-  st.log.record(clock, tid, Op::kGet, r.name);  // ticket after the acquire
-  st.trials.record(r.probes);
-  if (r.used_backup) ++st.backup_gets;
-  ++st.ops;
-  return r.name;
-}
+// --- worker policies, one per scenario ----------------------------------
+//
+// Each worker drives one thread's stash through the churn engine
+// (bench_util/churn.hpp) with an EventRecorder sink, so every Get and
+// Free lands in the thread's log in the sound ticket order.
 
-template <typename Array>
-void logged_free(Array& array, std::uint64_t name, EpochClock& clock,
-                 ThreadState& st, std::uint32_t tid) {
-  st.log.record(clock, tid, Op::kFree, name);  // ticket before the release
-  array.free(name);
-  ++st.ops;
-}
-
-// Budget for one worker: ops mode counts individual Gets+Frees, timed
-// mode polls the thread's stopwatch every 32 checks. The shared stop
-// flag (a sibling worker died) ends every scenario early — without it,
-// the survivors would churn their full budget against a structure
-// already known to be broken.
-class Budget {
- public:
-  Budget(const StressConfig& cfg, const bench::Stopwatch& watch,
-         const std::atomic<bool>& stop)
-      : ops_limit_(cfg.ops_per_thread),
-        seconds_(cfg.seconds),
-        watch_(watch),
-        stop_(stop) {}
-
-  bool exhausted(const ThreadState& st) {
-    if (stop_.load(std::memory_order_acquire)) return true;
-    if (ops_limit_ != 0) return st.ops >= ops_limit_;
-    if ((++polls_ & 31u) != 0) return false;
-    return watch_.elapsed_seconds() >= seconds_;
-  }
-
- private:
-  std::uint64_t ops_limit_;
-  double seconds_;
-  const bench::Stopwatch& watch_;
-  const std::atomic<bool>& stop_;
-  std::uint32_t polls_ = 0;
-};
-
-// --- worker loops, one per scenario -------------------------------------
-
-// steady / oversub: back-to-back churn holding ~target names; oversub
-// only differs in how high target sits (just under the contention bound,
-// or above it when a deadline makes refusals survivable). `deadline_ns`
-// is the per-Get budget (0 = untimed); a refused Get acquired nothing,
-// so nothing is logged for it, but it still spends budget — ops mode
-// must terminate even if every remaining Get times out.
-template <typename Array, typename Rng>
-void run_churn_worker(Array& array, Rng& rng, EpochClock& clock,
-                      ThreadState& st, std::uint32_t tid,
-                      std::uint64_t target, Budget& budget,
-                      std::uint64_t deadline_ns) {
-  while (!budget.exhausted(st)) {
+// steady / oversub: back-to-back churn holding ~target names; below the
+// target a 1-in-4 coin frees instead of claiming. oversub only differs in
+// how high target sits (just under the contention bound, or above it
+// when a deadline makes refusals survivable). `deadline_ns` is the
+// per-Get budget (0 = untimed); a refused Get acquired nothing, so
+// nothing is logged for it, but it still spends budget — ops mode must
+// terminate even if every remaining Get times out. Under a deadline a
+// worker that has spent its budget frees its stash before it leaves:
+// kept to join, it would pin the structure full while the slower workers
+// run out their budgets alone against it, one deadline per Get.
+template <typename ChurnT>
+void run_churn_worker(ChurnT& churn, ThreadState& st, std::uint64_t target,
+                      bench::Budget& budget, std::uint64_t deadline_ns) {
+  while (!budget.exhausted(st.counters)) {
     if (!st.held.empty() &&
-        (st.held.size() >= target || rng::bounded(rng, 4) == 0)) {
-      const std::uint64_t victim = rng::bounded(rng, st.held.size());
-      logged_free(array, st.held[victim], clock, st, tid);
-      st.held[victim] = st.held.back();
-      st.held.pop_back();
+        (st.held.size() >= target || rng::bounded(churn.rng(), 4) == 0)) {
+      churn.free_some(1);
       continue;
     }
-    if constexpr (api::has_deadline_ops_v<Array>) {
-      if (deadline_ns != 0) {
-        GetResult r;
-        ++st.timed_gets;
-        const bool granted = api::get_for(
-            array, rng, r,
-            sync::FutexWord::monotonic_now_ns() + deadline_ns);
-        if (!granted) {
-          ++st.timeouts;
-          ++st.ops;
-          continue;
-        }
-        st.log.record(clock, tid, Op::kGet, r.name);
-        st.trials.record(r.probes);
-        if (r.used_backup) ++st.backup_gets;
-        ++st.ops;
-        st.held.push_back(r.name);
-        continue;
-      }
+    std::uint64_t until = api::kNoDeadline;
+    if (deadline_ns != 0) {
+      ++st.timed_gets;
+      until = sync::FutexWord::monotonic_now_ns() + deadline_ns;
     }
-    st.held.push_back(logged_get(array, rng, clock, st, tid));
+    churn.get_some(1, bench::kNoCap, until);
   }
+  if (deadline_ns != 0) st.counters.ops += churn.drain();
 }
 
 // burst: every round all threads cross the barrier together, storm the
@@ -179,59 +106,56 @@ void run_churn_worker(Array& array, Rng& rng, EpochClock& clock,
 // thread 0 in timed mode. A poisoned barrier (a worker died) falls
 // through immediately; the stop check after the rendezvous then ends the
 // round loop, and each thread frees whatever it acquired this round.
-template <typename Array, typename Rng>
-void run_burst_worker(Array& array, Rng& rng, EpochClock& clock,
-                      ThreadState& st, std::uint32_t tid, std::uint64_t holds,
-                      std::uint64_t rounds, sync::SpinBarrier& barrier,
-                      std::atomic<bool>& stop, const StressConfig& cfg,
-                      const bench::Stopwatch& watch) {
+template <typename ChurnT>
+void run_burst_worker(ChurnT& churn, ThreadState& st, std::uint32_t tid,
+                      std::uint64_t holds, std::uint64_t rounds,
+                      sync::SpinBarrier& barrier, std::atomic<bool>& stop,
+                      const StressConfig& cfg, const bench::Budget& budget) {
   const bool timed = cfg.ops_per_thread == 0;
   for (std::uint64_t round = 0; timed || round < rounds; ++round) {
-    if (timed && tid == 0 && watch.elapsed_seconds() >= cfg.seconds) {
+    if (timed && tid == 0 && budget.elapsed_seconds() >= cfg.seconds) {
       stop.store(true, std::memory_order_release);
     }
     barrier.wait();
     if (stop.load(std::memory_order_acquire)) break;
     for (std::uint64_t h = 0; h < holds; ++h) {
-      st.held.push_back(logged_get(array, rng, clock, st, tid));
+      churn.get_some(1, bench::kNoCap, api::kNoDeadline);
     }
     barrier.wait();
-    for (const auto name : st.held) logged_free(array, name, clock, st, tid);
-    st.held.clear();
+    st.counters.ops += churn.drain();
   }
 }
 
 // zipf: names age out on Zipf-skewed hold times — most are freed almost
 // immediately, a heavy tail pins slots ~10x the mean, so old and fresh
-// names stay interleaved across the slots.
-template <typename Array, typename Rng>
-void run_zipf_worker(Array& array, Rng& rng, EpochClock& clock,
-                     ThreadState& st, std::uint32_t tid, std::uint64_t target,
-                     Budget& budget) {
+// names stay interleaved across the slots. expires[i] is when held[i]
+// is due back, in this thread's iteration count; whatever is still held
+// at the end stays in the stash for the post-join reaper.
+template <typename ChurnT>
+void run_zipf_worker(ChurnT& churn, ThreadState& st, std::uint64_t target,
+                     bench::Budget& budget) {
   constexpr double kMeanHoldIters = 16.0;
-  st.timed_held.reserve(static_cast<std::size_t>(target + 1));
+  std::vector<std::uint64_t> expires;
+  expires.reserve(static_cast<std::size_t>(target + 1));
   std::uint64_t iter = 0;
-  while (!budget.exhausted(st)) {
-    for (std::size_t i = 0; i < st.timed_held.size();) {
-      if (st.timed_held[i].expires <= iter) {
-        logged_free(array, st.timed_held[i].name, clock, st, tid);
-        st.timed_held[i] = st.timed_held.back();
-        st.timed_held.pop_back();
+  while (!budget.exhausted(st.counters)) {
+    for (std::size_t i = 0; i < expires.size();) {
+      if (expires[i] <= iter) {
+        churn.free_at(i);
+        expires[i] = expires.back();
+        expires.pop_back();
       } else {
         ++i;
       }
     }
-    if (st.timed_held.size() < target) {
-      const std::uint64_t name = logged_get(array, rng, clock, st, tid);
-      const std::uint64_t hold = bench::draw_hold_time(
-          rng, bench::HoldDistribution::kZipf, kMeanHoldIters);
-      st.timed_held.push_back(TimedHold{name, iter + hold});
+    if (st.held.size() < target) {
+      churn.get_some(1, bench::kNoCap, api::kNoDeadline);
+      expires.push_back(iter + bench::draw_hold_time(
+                                   churn.rng(), bench::HoldDistribution::kZipf,
+                                   kMeanHoldIters));
     }
     ++iter;
   }
-  // Hand whatever is still pinned to the post-join reaper via the stash.
-  for (const auto& h : st.timed_held) st.held.push_back(h.name);
-  st.timed_held.clear();
 }
 
 // joinleave: thread tid idles until the run has globally progressed
@@ -241,12 +165,11 @@ void run_zipf_worker(Array& array, Rng& rng, EpochClock& clock,
 // threshold is below what the predecessors' completed budgets alone
 // produce, so the wait terminates; `stop` (a worker died) bails it out
 // of a wait that can no longer be satisfied.
-template <typename Array, typename Rng>
-void run_joinleave_worker(Array& array, Rng& rng, EpochClock& clock,
-                          ThreadState& st, std::uint32_t tid,
-                          std::uint64_t target, Budget& budget,
-                          std::atomic<bool>& stop, const StressConfig& cfg,
-                          const bench::Stopwatch& watch,
+template <typename ChurnT>
+void run_joinleave_worker(ChurnT& churn, EpochClock& clock, ThreadState& st,
+                          std::uint32_t tid, std::uint64_t target,
+                          bench::Budget& budget, std::atomic<bool>& stop,
+                          const StressConfig& cfg,
                           std::uint64_t deadline_ns) {
   sync::Backoff backoff;
   if (cfg.ops_per_thread != 0) {
@@ -261,14 +184,13 @@ void run_joinleave_worker(Array& array, Rng& rng, EpochClock& clock,
     const double join_at =
         cfg.seconds * static_cast<double>(tid) /
         (2.0 * static_cast<double>(cfg.threads == 0 ? 1 : cfg.threads));
-    while (watch.elapsed_seconds() < join_at &&
+    while (budget.elapsed_seconds() < join_at &&
            !stop.load(std::memory_order_acquire)) {
       backoff.pause();
     }
   }
-  run_churn_worker(array, rng, clock, st, tid, target, budget, deadline_ns);
-  for (const auto name : st.held) logged_free(array, name, clock, st, tid);
-  st.held.clear();
+  run_churn_worker(churn, st, target, budget, deadline_ns);
+  st.counters.ops += churn.drain();
 }
 
 // --- healing window -----------------------------------------------------
@@ -279,23 +201,21 @@ void run_joinleave_worker(Array& array, Rng& rng, EpochClock& clock,
 // every deep batch to end below kMaxDeepBatchFill. Runs single-threaded
 // on the reaper id; everything is logged, so the checker covers this
 // phase too. Returns the phase's peak concurrent holds.
-template <typename Array, typename Rng>
-std::uint64_t run_healing_window(Array& array, Rng& rng, EpochClock& clock,
-                                 ThreadState& reaper, std::uint32_t reaper_tid,
+template <typename Array, typename ChurnT>
+std::uint64_t run_healing_window(Array& array, ChurnT& churn,
                                  std::vector<std::uint64_t>& pool,
+                                 EventRecorder& recorder,
                                  const StressConfig& cfg,
                                  StressReport& report) {
   const std::uint64_t n = cfg.effective_capacity();
   const std::uint64_t heal_load = n / 2 < 1 ? 1 : n / 2;
   const std::uint64_t heal_ops = cfg.heal_ops != 0 ? cfg.heal_ops : 4 * n;
 
-  // Adjust the leftover pool down/up to the healing load.
-  while (pool.size() > heal_load) {
-    logged_free(array, pool.back(), clock, reaper, reaper_tid);
-    pool.pop_back();
-  }
+  // Adjust the leftover pool down (newest first) or up to the healing
+  // load.
+  while (pool.size() > heal_load) churn.free_at(pool.size() - 1);
   while (pool.size() < heal_load) {
-    pool.push_back(logged_get(array, rng, clock, reaper, reaper_tid));
+    churn.get_some(1, bench::kNoCap, api::kNoDeadline);
   }
 
   // Fig. 3's bad state: batch 1 forced up to its Definition 2 threshold.
@@ -306,7 +226,7 @@ std::uint64_t run_healing_window(Array& array, Rng& rng, EpochClock& clock,
           1, sim::overcrowding_threshold(1, array.capacity()));
       for (const auto name : names) {
         // seed_batch_occupancy acquires directly; mirror it in the log.
-        reaper.log.record(clock, reaper_tid, Op::kGet, name);
+        recorder.after_get(name);
         pool.push_back(name);
       }
       seeded = names.size();
@@ -316,12 +236,9 @@ std::uint64_t run_healing_window(Array& array, Rng& rng, EpochClock& clock,
   // Churn back down to the healing load, then keep churning — the
   // paper's recovery schedule.
   for (std::uint64_t op = 0; op < heal_ops; ++op) {
-    const std::uint64_t victim = rng::bounded(rng, pool.size());
-    logged_free(array, pool[victim], clock, reaper, reaper_tid);
-    pool[victim] = pool.back();
-    pool.pop_back();
+    churn.free_some(1);
     if (pool.size() < heal_load) {
-      pool.push_back(logged_get(array, rng, clock, reaper, reaper_tid));
+      churn.get_some(1, bench::kNoCap, api::kNoDeadline);
     }
   }
 
@@ -361,8 +278,8 @@ StressReport drive(Array& array, const StressConfig& cfg) {
   // Deadline knob: only honored where the structure can actually bound a
   // Get (api deadline surface). Under a deadline, oversub flips from
   // "just under the bound" to *over* it — aggregate demand exceeds n, so
-  // a nonzero timeout rate is the expected (and asserted, by harnesses)
-  // outcome rather than a hang.
+  // while workers overlap, timeouts are the expected outcome rather than
+  // a hang.
   std::uint64_t deadline_ns = 0;
   if constexpr (api::has_deadline_ops_v<Array>) {
     deadline_ns = cfg.deadline_ns;
@@ -395,27 +312,28 @@ StressReport drive(Array& array, const StressConfig& cfg) {
       try {
         Rng rng(rng::mix_seed(cfg.seed, tid + 1));
         barrier.wait();
-        bench::Stopwatch watch;
-        Budget budget(cfg, watch, stop);
+        bench::Budget budget(cfg.ops_per_thread, cfg.seconds, &stop);
+        bench::Churn<Array, Rng, EventRecorder> churn(
+            array, rng, st.counters, st.held, 1,
+            EventRecorder{st.log, clock, tid});
         switch (cfg.scenario) {
           case Scenario::kSteady:
           case Scenario::kOversub:
-            run_churn_worker(array, rng, clock, st, tid, target, budget,
-                             deadline_ns);
+            run_churn_worker(churn, st, target, budget, deadline_ns);
             break;
           case Scenario::kBurst:
-            run_burst_worker(array, rng, clock, st, tid, target, burst_rounds,
-                             barrier, stop, cfg, watch);
+            run_burst_worker(churn, st, tid, target, burst_rounds, barrier,
+                             stop, cfg, budget);
             break;
           case Scenario::kZipf:
-            run_zipf_worker(array, rng, clock, st, tid, target, budget);
+            run_zipf_worker(churn, st, target, budget);
             break;
           case Scenario::kJoinLeave:
-            run_joinleave_worker(array, rng, clock, st, tid, target, budget,
-                                 stop, cfg, watch, deadline_ns);
+            run_joinleave_worker(churn, clock, st, tid, target, budget, stop,
+                                 cfg, deadline_ns);
             break;
         }
-        st.seconds_active = watch.elapsed_seconds();
+        st.counters.seconds_active = budget.elapsed_seconds();
       } catch (const std::exception& e) {
         st.error = e.what();
         stop.store(true, std::memory_order_release);
@@ -424,22 +342,22 @@ StressReport drive(Array& array, const StressConfig& cfg) {
     });
   }
 
-  // Workers have joined; aggregate their outputs.
-  std::vector<std::uint64_t> pool;
+  // Workers have joined; aggregate their outputs. Post-join phases run on
+  // a virtual "reaper" thread id (= threads): the fork/join transferred
+  // ownership of the leftovers to the driver, so they become the
+  // reaper's stash.
+  const std::uint32_t reaper_tid = threads;
+  ThreadState reaper;
+  bench::ChurnCounters workers;
+  std::vector<std::uint64_t>& pool = reaper.held;
   for (std::uint32_t tid = 0; tid < threads; ++tid) {
     const ThreadState& st = *states[tid];
-    report.trials.merge(st.trials);
-    report.total_ops += st.ops;
-    report.backup_gets += st.backup_gets;
+    workers.merge(st.counters);
     report.timed_gets += st.timed_gets;
-    report.timeouts += st.timeouts;
-    if (st.seconds_active > report.elapsed_seconds) {
-      report.elapsed_seconds = st.seconds_active;
-    }
     pool.insert(pool.end(), st.held.begin(), st.held.end());
-    // A thread that died mid-scenario may still have zipf timed holds.
-    for (const auto& h : st.timed_held) pool.push_back(h.name);
   }
+  report.timeouts = workers.timeouts;
+  report.elapsed_seconds = workers.seconds_active;
 
   std::vector<std::string> driver_errors;
   for (std::uint32_t tid = 0; tid < threads; ++tid) {
@@ -465,27 +383,24 @@ StressReport drive(Array& array, const StressConfig& cfg) {
     }
   }
 
-  // Post-join phases run on a virtual "reaper" thread id (= threads):
-  // the fork/join transferred ownership of the leftovers to the driver.
-  const std::uint32_t reaper_tid = threads;
-  ThreadState reaper;
-  std::uint64_t heal_peak = 0;
   Rng reaper_rng(rng::mix_seed(cfg.seed, 0x4EA9E4ull));
+  EventRecorder recorder{reaper.log, clock, reaper_tid};
+  bench::Churn<Array, Rng, EventRecorder> reaper_churn(
+      array, reaper_rng, reaper.counters, pool, 1, recorder);
+  std::uint64_t heal_peak = 0;
   if constexpr (api::has_batch_occupancy_v<Array>) {
     if (driver_errors.empty()) {
-      heal_peak = run_healing_window<Array, Rng>(
-          array, reaper_rng, clock, reaper, reaper_tid, pool, cfg, report);
+      heal_peak = run_healing_window(array, reaper_churn, pool, recorder, cfg,
+                                     report);
     }
   }
 
   // Drain to empty and verify the structure agrees.
-  for (const auto name : pool) {
-    logged_free(array, name, clock, reaper, reaper_tid);
-  }
-  pool.clear();
-  report.trials.merge(reaper.trials);
-  report.total_ops += reaper.ops;
-  report.backup_gets += reaper.backup_gets;
+  reaper.counters.ops += reaper_churn.drain();
+  workers.merge(reaper.counters);
+  report.trials = workers.trials;
+  report.total_ops = workers.ops;
+  report.backup_gets = workers.backup_gets;
   {
     std::vector<std::uint64_t> collected;
     if (array.collect(collected) != 0) {

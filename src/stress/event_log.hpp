@@ -72,4 +72,20 @@ class EventLog {
   std::vector<Event> events_;
 };
 
+// The churn engine's sink (bench_util/churn.hpp) for a traced worker:
+// tickets each op into the worker's log in the sound order above — a
+// Free's ticket before the release, a Get's ticket after the grant.
+struct EventRecorder {
+  EventLog& log;
+  EpochClock& clock;
+  std::uint32_t thread;
+
+  void before_free(std::uint64_t name) {
+    log.record(clock, thread, Op::kFree, name);
+  }
+  void after_get(std::uint64_t name) {
+    log.record(clock, thread, Op::kGet, name);
+  }
+};
+
 }  // namespace la::stress

@@ -1,9 +1,11 @@
-// Determinism of the bench driver's seed plumbing: the same DriverConfig
+// Determinism of the churn engine's seed plumbing: the same DriverConfig
 // seed in single-thread op-count mode must yield bit-identical RunResult
 // trial stats, for every registered structure and every registered probe
 // RNG — and a different seed must actually change the probe stream for
-// the randomized structures (i.e. the seed is plumbed, not ignored).
-// Timing fields (elapsed/throughput) are wall-clock and excluded.
+// the randomized structures (i.e. the seed is plumbed, not ignored). The
+// stress driver, which runs the same engine, must do the same for every
+// scenario at one thread. Timing fields (elapsed/throughput) are
+// wall-clock and excluded.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -13,6 +15,8 @@
 #include "bench_util/algos.hpp"
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
+#include "stress/driver.hpp"
+#include "stress/scenario.hpp"
 
 namespace {
 
@@ -45,6 +49,26 @@ la::bench::SweepPoint point_for(std::uint64_t seed, la::rng::RngKind kind) {
   point.driver.seed = seed;
   point.driver.rng_kind = kind;
   return point;
+}
+
+bool same_report(const la::stress::StressReport& a,
+                 const la::stress::StressReport& b) {
+  return a.trials.operations() == b.trials.operations() &&
+         a.trials.histogram() == b.trials.histogram() &&
+         a.total_ops == b.total_ops && a.backup_gets == b.backup_gets &&
+         a.timeouts == b.timeouts;
+}
+
+la::stress::StressConfig stress_config(const std::string& structure,
+                                       la::stress::Scenario scenario,
+                                       std::uint64_t seed) {
+  la::stress::StressConfig cfg;
+  cfg.structure = structure;
+  cfg.scenario = scenario;
+  cfg.threads = 1;
+  cfg.ops_per_thread = 4000;
+  cfg.seed = seed;
+  return cfg;
 }
 
 }  // namespace
@@ -113,6 +137,21 @@ int main() {
     const auto c = run_once(8);
     CHECK(same_trials(a, b));
     CHECK(!same_trials(a, c));
+  }
+
+  // run_stress at one thread: no interleaving left to vary, so the seed
+  // alone fixes every scenario's report.
+  for (const std::string structure : {"level", "sharded:level"}) {
+    for (const auto scenario : stress::all_scenarios()) {
+      current = structure + "/" + std::string(stress::scenario_name(scenario));
+      const auto a = stress::run_stress(stress_config(structure, scenario, 42));
+      const auto b = stress::run_stress(stress_config(structure, scenario, 42));
+      const auto c = stress::run_stress(stress_config(structure, scenario, 43));
+      CHECK(a.ok() && b.ok() && c.ok());
+      CHECK(a.trials.operations() > 0);
+      CHECK(same_report(a, b));
+      CHECK(!same_report(a, c));
+    }
   }
 
   if (failures != 0) {
