@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/slot_scan.hpp"
 #include "core/types.hpp"
 #include "rng/rng.hpp"
 #include "sync/tas_cell.hpp"
@@ -48,12 +49,11 @@ class RandomArray {
 
   std::size_t collect(std::vector<std::uint64_t>& out) const {
     std::size_t found = 0;
-    for (std::uint64_t slot = 0; slot < slots_.size(); ++slot) {
-      if (slots_[slot].held()) {
-        out.push_back(slot);
-        ++found;
-      }
-    }
+    core::slot_scan::for_each_held(slots_.data(), slots_.size(),
+                                   [&](std::uint64_t slot) {
+                                     out.push_back(slot);
+                                     ++found;
+                                   });
     return found;
   }
 

@@ -16,11 +16,11 @@
 //   * Caching: Free parks the name in the calling thread's cache (the
 //     underlying slot stays acquired, the name is logically free); Get
 //     pops a recently parked name in O(cache) with no shared-state
-//     traffic. The cache is bounded: overflow flushes a batch of the
-//     oldest names back to their shards. Caches drain on thread exit
-//     (see thread_cache.hpp), on collect(), and when every shard refuses
-//     a Get (parked names are reclaimable capacity — draining restores
-//     the global progress guarantee).
+//     traffic. The cache is bounded: overflow flushes the oldest half
+//     back to their shards. Caches drain on thread exit (see
+//     thread_cache.hpp), on collect(), and when every shard refuses a
+//     Get (parked names are reclaimable capacity — draining restores the
+//     global progress guarantee).
 //   * Batching: get_batch/free_batch amortize the shared-state traffic
 //     across k names — one gate fetch_add(k) per shard sweep (with an
 //     exact refund on partial refusal), one cache-stack walk to pop or
@@ -29,6 +29,9 @@
 //     every shard refuses (see the api batch contract); free_batch
 //     validates the whole batch against the held-bitmap before touching
 //     any shared state.
+//   * One Get path: get_batch is the only shard sweep, get_batch_for the
+//     only wait ladder; a single-name Get is a cache pop, then k = 1, and
+//     a shard accepting one name runs the inner get (the paper's walk).
 //
 // The cache is deliberately not a locked container: each entry ("bin")
 // is a single std::atomic<uint64_t> holding name+1, 0 when empty. The
@@ -90,10 +93,9 @@ struct ShardedConfig {
   // Number of shards S; 0 is promoted to 1.
   std::uint32_t shards = 8;
   // Per-thread free-name cache bins; 0 disables caching (shard affinity
-  // and overflow probing still apply).
+  // and overflow probing still apply). A full cache flushes its oldest
+  // half (at least one name) back to the shards.
   std::uint32_t cache_capacity = 16;
-  // Oldest names flushed back to their shards when a cache overflows.
-  std::uint32_t cache_flush_batch = 8;
   // Cache slots available; threads beyond this run uncached (correct,
   // just slower). Slots freed by exited threads are reused.
   std::uint32_t max_threads = 128;
@@ -209,18 +211,22 @@ class ShardedRenamer {
   template <typename Rng>
   GetResult get(Rng& rng) {
     GetResult out;
-    // With no deadline get_for_impl cannot refuse, only block.
-    (void)get_for_impl(rng, out, api::kNoDeadline);
+    // With no deadline get_for cannot refuse, only block.
+    (void)get_for(rng, out, api::kNoDeadline);
     return out;
   }
 
   // Bounded-wait Get: park at most until the absolute CLOCK_MONOTONIC
   // deadline (api::kNoDeadline = forever), then refuse with false — the
   // timed-out refusal the api::get_for contract defines. Counted in
-  // wait_stats().timeouts.
+  // wait_stats().timeouts. A cache hit returns before the wait ladder is
+  // entered, which keeps the hot Free+Get pair as cheap as one pop.
   template <typename Rng>
   bool get_for(Rng& rng, GetResult& out, std::uint64_t deadline_ns) {
-    return get_for_impl(rng, out, deadline_ns);
+    detail::CacheSlot* cache =
+        config_.cache_capacity != 0 ? cache_slot() : nullptr;
+    if (cache != nullptr && pop_parked_batch(*cache, &out, 1) == 1) return true;
+    return get_batch_for(rng, &out, 1, deadline_ns) == 1;
   }
 
   // Batch claim: pop parked names in one walk down the cache stack, then
@@ -263,10 +269,14 @@ class ShardedRenamer {
           ++refusals;
         }
         if (accepted == 0) continue;
-        std::size_t got = 0;
+        std::size_t got = 1;
         try {
-          got = api::get_batch(*shards_[s], rng, out + granted,
-                               static_cast<std::size_t>(accepted));
+          if (accepted == 1) {
+            out[granted] = shards_[s]->get(rng);  // the paper's probe walk
+          } else {
+            got = api::get_batch(*shards_[s], rng, out + granted,
+                                 static_cast<std::size_t>(accepted));
+          }
         } catch (...) {
           refund_gate(s, accepted);
           throw;
@@ -282,8 +292,9 @@ class ShardedRenamer {
         granted += got;
       }
       if (granted > first_shared && refusals != 0) {
-        // Same accounting as get(): overflow probes past full shards ride
-        // on the sweep's first shard-claimed result.
+        // Overflow probes past full shards in this sweep ride on its
+        // first shard-claimed result; refusals from earlier (fully
+        // refused) sweeps are counted in shard_refusals only.
         out[first_shared].probes += refusals;
       }
       if (granted > 0) return granted;
@@ -296,12 +307,21 @@ class ShardedRenamer {
     }
   }
 
-  // Bounded-wait batch claim: retries get_batch through the same
-  // spin/yield/park ladder as get_for until *something* is granted or
-  // the deadline passes. Returns the granted count — a partial grant
+  // Bounded-wait batch claim, and the one wait ladder (get and get_for
+  // enter it with k = 1): retries get_batch until *something* is granted
+  // or the deadline passes. Returns the granted count — a partial grant
   // returns immediately (the api batch contract hands the top-up retry
   // to the caller); 0 means the deadline expired with every shard at
   // its bound (counted in wait_stats().timeouts).
+  //
+  // A zero grant means every shard refused even after get_batch drained
+  // the parked names. Back off first (a refusal storm can be peers'
+  // transient gate reservations); once spin and yield are spent, park on
+  // the FIFO wait queue. Parking is the eventcount protocol: register,
+  // re-probe, only then sleep, so a Free between probe and sleep wakes
+  // us (no lost wakeups; see wait_queue.hpp). A single Free wakes the
+  // oldest waiter, and a woken waiter that loses the sweep re-parks at
+  // the *front*, so starvation is bounded by queue position.
   template <typename Rng>
   std::size_t get_batch_for(Rng& rng, GetResult* out, std::size_t k,
                             std::uint64_t deadline_ns) {
@@ -338,19 +358,7 @@ class ShardedRenamer {
   }
 
   void free(std::uint64_t name) {
-    if (name >= total_slots_ ||
-        (name & (stride_ - 1)) >=
-            local_bounds_[static_cast<std::size_t>(name >> stride_shift_)]) {
-      throw std::out_of_range("ShardedRenamer::free: name out of range");
-    }
-    // Only the holder may free, so the read is race-free (same argument
-    // as LevelArray::free); parked names have this bit clear, so a
-    // double free of a parked name fails here, loudly.
-    if (!held_[name].held()) {
-      throw std::logic_error(
-          "ShardedRenamer::free: name not held (double free?)");
-    }
-    held_[name].release();
+    clear_held(name, "free");
     if (config_.cache_capacity != 0) {
       if (detail::CacheSlot* cache = cache_slot()) {
         park(*cache, name);
@@ -376,23 +384,9 @@ class ShardedRenamer {
   void free_batch(const std::uint64_t* names, std::size_t k) {
     std::size_t cleared = 0;
     try {
-      for (; cleared < k; ++cleared) {
-        const std::uint64_t name = names[cleared];
-        if (name >= total_slots_ ||
-            (name & (stride_ - 1)) >=
-                local_bounds_[static_cast<std::size_t>(name >>
-                                                       stride_shift_)]) {
-          throw std::out_of_range(
-              "ShardedRenamer::free_batch: name out of range");
-        }
-        // Clearing as we validate is also the duplicate detector: the
-        // second occurrence of a name inside the batch reads clear here.
-        if (!held_[name].held()) {
-          throw std::logic_error(
-              "ShardedRenamer::free_batch: name not held (double free?)");
-        }
-        held_[name].release();
-      }
+      // Clearing as we validate is also the duplicate detector: the
+      // second occurrence of a name inside the batch reads clear.
+      for (; cleared < k; ++cleared) clear_held(names[cleared], "free_batch");
     } catch (...) {
       distribute_freed(names, cleared);
       throw;
@@ -497,7 +491,7 @@ class ShardedRenamer {
   auto adopt_held(std::uint64_t name) -> std::void_t<
       decltype(std::declval<I&>().adopt_held(std::uint64_t{}))> {
     const auto s = static_cast<std::size_t>(name >> stride_shift_);
-    if (name >= total_slots_ || (name & (stride_ - 1)) >= local_bounds_[s]) {
+    if (!routes(name)) {
       throw std::out_of_range(
           "ShardedRenamer::adopt_held: name does not route to any shard "
           "slot in this configuration");
@@ -528,12 +522,31 @@ class ShardedRenamer {
   static ShardedConfig sanitized(ShardedConfig config) {
     if (config.shards == 0) config.shards = 1;
     if (config.max_threads == 0) config.max_threads = 1;
-    if (config.cache_flush_batch == 0) config.cache_flush_batch = 1;
-    if (config.cache_flush_batch > config.cache_capacity &&
-        config.cache_capacity != 0) {
-      config.cache_flush_batch = config.cache_capacity;
-    }
     return config;
+  }
+
+  // Does `name` decompose to a real slot of some shard (below
+  // total_slots and outside the stride gap past the shard's own slots)?
+  bool routes(std::uint64_t name) const {
+    return name < total_slots_ &&
+           (name & (stride_ - 1)) <
+               local_bounds_[static_cast<std::size_t>(name >> stride_shift_)];
+  }
+
+  // Every Free path's check-and-clear of the logical held bit. Only the
+  // holder may free, so the read is race-free (same argument as
+  // LevelArray::free); parked names have this bit clear, so a double
+  // free of a parked name fails here, loudly.
+  void clear_held(std::uint64_t name, const char* op) {
+    if (!routes(name)) {
+      throw std::out_of_range(std::string("ShardedRenamer::") + op +
+                              ": name out of range");
+    }
+    if (!held_[name].held()) {
+      throw std::logic_error(std::string("ShardedRenamer::") + op +
+                             ": name not held (double free?)");
+    }
+    held_[name].release();
   }
 
   std::uint32_t ring(std::uint32_t home, std::uint32_t step) const {
@@ -566,91 +579,6 @@ class ShardedRenamer {
     result.name = name;
     result.probes = probes;
     return result;
-  }
-
-  // The one Get slow path (get and get_for are thin wrappers): cache
-  // pop, then shard sweep, then the spin/yield/park ladder. Returns
-  // false only on a timed-out refusal (impossible with kNoDeadline).
-  template <typename Rng>
-  bool get_for_impl(Rng& rng, GetResult& out, std::uint64_t deadline_ns) {
-    detail::CacheSlot* cache =
-        config_.cache_capacity != 0 ? cache_slot() : nullptr;
-    if (cache != nullptr) {
-      const std::uint64_t token = pop_parked(*cache);
-      if (token != 0) {
-        out = grant(token - 1, /*probes=*/1);
-        return true;
-      }
-    }
-    const std::uint32_t home =
-        cache != nullptr ? cache->home_shard : hashed_home();
-    std::uint32_t refusals = 0;
-    sync::Backoff backoff;
-    bool handoff = false;
-    for (;;) {
-      for (std::uint32_t i = 0; i < config_.shards; ++i) {
-        const std::uint32_t s = ring(home, i);
-        detail::ShardCounters& count = *counts_[s];
-        if (count.occupancy.fetch_add(1, std::memory_order_relaxed) >=
-            gates_[s]) {
-          refund_gate(s, 1);
-          count.refusals.fetch_add(1, std::memory_order_relaxed);
-          ++refusals;
-          continue;
-        }
-        GetResult result;
-        try {
-          result = shards_[s]->get(rng);
-        } catch (...) {
-          refund_gate(s, 1);
-          throw;
-        }
-        count.shared_gets.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t name =
-            (static_cast<std::uint64_t>(s) << stride_shift_) | result.name;
-        result.probes += refusals;
-        out = grant(name, result.probes, result);
-        return true;
-      }
-      // Every shard refused: parked names are the reclaimable capacity.
-      // Drain them back to the shards and retry — with true holds below
-      // the contention bound, some shard must then accept. Back off
-      // between rounds: a refusal storm can also be transient gate
-      // reservations by peers who need the timeslice to finish. Once the
-      // spin/yield tiers are exhausted (genuine oversubscription at the
-      // contention bound), park on the FIFO wait queue instead of
-      // burning CPU: register as a waiter first, re-probe, and only then
-      // sleep — the eventcount protocol, so a Free between the probe and
-      // the sleep wakes us immediately (zero lost wakeups; see
-      // wait_queue.hpp). Single Frees wake exactly the oldest waiter
-      // (wake-one + handoff: a woken waiter that loses the sweep race
-      // re-enqueues at the *front*), so starvation is bounded by queue
-      // position instead of scheduler luck.
-      drain_caches();
-      gate_wait_rounds_.fetch_add(1, std::memory_order_relaxed);
-      if (deadline_ns != api::kNoDeadline &&
-          sync::FutexWord::monotonic_now_ns() >= deadline_ns) {
-        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      if (!backoff.should_park()) {
-        backoff.pause();
-        continue;
-      }
-      sync::WaitQueue::Waiter waiter;
-      wait_queue_.prepare_wait(waiter, handoff);
-      if (probe_capacity()) {
-        wait_queue_.cancel_wait(waiter);
-        continue;
-      }
-      gate_parks_.fetch_add(1, std::memory_order_relaxed);
-      if (wait_queue_.commit_wait(waiter, deadline_ns) ==
-          sync::WaitResult::kTimedOut) {
-        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      handoff = true;  // granted a wake: keep queue position on re-park
-    }
   }
 
   // Return `n` unused gate reservations. While they sat on the gate, a
@@ -695,31 +623,11 @@ class ShardedRenamer {
     }
   }
 
-  // Owner-only: pop the most recently parked name still present, walking
-  // down from the stack hint over bins stealers may have emptied. The
-  // exchange races concurrent steals; whoever reads nonzero owns it.
-  std::uint64_t pop_parked(detail::CacheSlot& cache) {
-    la::detail::atomic<std::uint64_t>* bins = bins_.data() + cache.first;
-    for (std::uint32_t i = cache.top; i-- > 0;) {
-      if (bins[i].load(std::memory_order_relaxed) == 0) continue;
-      const std::uint64_t token =
-          bins[i].exchange(0, std::memory_order_acquire);
-      if (token != 0) {
-        cache.top = i;
-        cache.hits.store(cache.hits.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-        return token;
-      }
-    }
-    cache.top = 0;
-    return 0;
-  }
-
-  // Owner-only: pop up to k parked names in one walk down the stack —
-  // same exchange-per-bin protocol as pop_parked, but the stack hint and
-  // the hits stat are written once per walk instead of once per name.
-  // After the walk every bin at or above the new top is zero, so the
-  // park invariant is preserved.
+  // Owner-only: pop up to k parked names in one walk down from the stack
+  // hint, skipping bins stealers may have emptied. Each exchange races
+  // concurrent steals; whoever reads nonzero owns the name. The hint and
+  // the hits stat are written once per walk. After the walk every bin at
+  // or above the new top is zero, so the park invariant is preserved.
   std::size_t pop_parked_batch(detail::CacheSlot& cache, GetResult* out,
                                std::size_t k) {
     la::detail::atomic<std::uint64_t>* bins = bins_.data() + cache.first;
@@ -809,7 +717,7 @@ class ShardedRenamer {
   // fast path is a single exchange — seq_cst, as the release the Free's
   // wake relies on (an xchg on x86). A saturated stack compacts:
   // the owner sweeps its bins (exchanging out survivors — steals race
-  // fairly), flushes the oldest batch to the shards if the cache was
+  // fairly), flushes the oldest half to the shards if the cache was
   // genuinely full, and re-lays the rest from the bottom.
   void park(detail::CacheSlot& cache, std::uint64_t name) {
     la::detail::atomic<std::uint64_t>* bins = bins_.data() + cache.first;
@@ -823,8 +731,10 @@ class ShardedRenamer {
       for (std::uint32_t i = 0; i < config_.cache_capacity; ++i) {
         if (bins[i].load(std::memory_order_relaxed) != 0) ++count;
       }
-      std::uint32_t to_flush =
-          count == config_.cache_capacity ? config_.cache_flush_batch : 0;
+      std::uint32_t to_flush = 0;
+      if (count == config_.cache_capacity) {
+        to_flush = config_.cache_capacity > 1 ? config_.cache_capacity / 2 : 1;
+      }
       // Pass 2: exchange each bin out; release the oldest `to_flush`,
       // re-lay the rest from the bottom. The write cursor never passes
       // the read cursor, so it only stores into bins already emptied.
@@ -923,7 +833,7 @@ class ShardedRenamer {
   std::shared_ptr<CacheControl> control_;
   mutable la::detail::atomic<std::uint64_t> drains_{0};
   mutable la::detail::atomic<std::uint64_t> collect_drains_{0};
-  // The blocking tier (see get_for_impl): every release path wakes,
+  // The blocking tier (see get_batch_for): every release path wakes,
   // refused getters park on the ticketed FIFO queue (wake-one + handoff
   // bounds starvation by queue position). Mutable because collect()'s
   // drain releases capacity.

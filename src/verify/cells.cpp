@@ -397,7 +397,6 @@ std::unique_ptr<MiniSharded> make_sharded(std::uint64_t inner_capacity) {
   la::scale::ShardedConfig config;
   config.shards = 1;
   config.cache_capacity = 1;
-  config.cache_flush_batch = 1;
   config.max_threads = 2;
   return std::make_unique<MiniSharded>(config, [&](std::uint32_t) {
     return std::make_unique<MiniInner>(inner_capacity);

@@ -134,7 +134,6 @@ void check_cached_free_wakes_parked_get() {
   la::scale::ShardedConfig config;
   config.shards = 1;
   config.cache_capacity = 4;  // a small cache keeps each drain cheap
-  config.cache_flush_batch = 2;
   config.max_threads = 4;
   Sharded array(config, [](std::uint32_t) {
     la::core::LevelArrayConfig inner;

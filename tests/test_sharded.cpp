@@ -3,8 +3,9 @@
 // but never observe directly: cache hit accounting, bounded overflow
 // flushes, drain-on-collect, the global-miss drain that reclaims parked
 // capacity, thread-exit flushing with cache-slot recycling across thread
-// generations, the uncached overflow mode past max_threads, and the
-// name-routing edges (stride gaps, per-shard gates).
+// generations, the uncached overflow mode past max_threads, the
+// name-routing edges (stride gaps, per-shard gates), and that every
+// single-name Get entry is the inner structure's own probe walk.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/renamer.hpp"
@@ -20,6 +22,7 @@
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
+#include "sync/futex.hpp"
 
 namespace {
 
@@ -37,6 +40,9 @@ std::string current;
 
 using Sharded = la::scale::ShardedRenamer<la::core::LevelArray>;
 
+// A deadline no test Get should reach: 60 s.
+constexpr std::uint64_t kFarNs = 60'000'000'000ULL;
+
 Sharded make_sharded(la::scale::ShardedConfig config,
                      std::uint64_t shard_capacity) {
   return Sharded(config, [shard_capacity](std::uint32_t) {
@@ -51,7 +57,6 @@ void check_cache_hits_and_flush() {
   la::scale::ShardedConfig config;
   config.shards = 2;
   config.cache_capacity = 4;
-  config.cache_flush_batch = 2;
   Sharded array = make_sharded(config, 16);
   la::rng::MarsagliaXorshift rng(1);
 
@@ -110,12 +115,13 @@ void check_drain_restores_shards() {
   CHECK(array.stats().cache_drains >= 1);
 }
 
-void check_global_miss_reclaims_parked() {
-  current = "global-miss-reclaim";
+// `timed` takes the global-miss Get through get_for with a finite
+// deadline instead of get: the reclaim must not depend on the entry.
+void check_global_miss_reclaims_parked(bool timed) {
+  current = timed ? "global-miss-reclaim/get_for" : "global-miss-reclaim/get";
   la::scale::ShardedConfig config;
   config.shards = 2;
   config.cache_capacity = 8;
-  config.cache_flush_batch = 8;
   Sharded array = make_sharded(config, 4);  // total capacity 8
   la::rng::MarsagliaXorshift rng(3);
 
@@ -142,7 +148,13 @@ void check_global_miss_reclaims_parked() {
   // Main's cache is empty and both gates are saturated (holds + the
   // worker's parked slots). This Get must steal-drain the worker's bins
   // and then succeed — termination, not livelock.
-  const auto r = array.get(rng);
+  la::GetResult r;
+  if (timed) {
+    CHECK(array.get_for(rng, r,
+                        la::sync::FutexWord::monotonic_now_ns() + kFarNs));
+  } else {
+    r = array.get(rng);
+  }
   CHECK(r.name < array.total_slots());
   held.push_back(r.name);
   CHECK(array.stats().cache_drains >= 1);
@@ -314,7 +326,6 @@ void check_batch_gate_accounting_with_cache() {
   la::scale::ShardedConfig config;
   config.shards = 2;
   config.cache_capacity = 8;
-  config.cache_flush_batch = 8;
   Sharded array = make_sharded(config, 8);  // capacity 16
   la::rng::MarsagliaXorshift rng(22);
 
@@ -406,12 +417,69 @@ void check_batch_fallback_surface() {
   CHECK(array.collect(collected) == 0);
 }
 
+// One name is the paper's Get: with one shard and no cache, get,
+// get_for and get_batch with k = 1 must each run the inner LevelArray's
+// own probe walk — the same name, probes and deepest batch as a flat
+// LevelArray driven by the same seed, through a fill to the bound and
+// churn at it.
+void check_single_get_is_the_inner_walk() {
+  constexpr std::uint64_t kCapacity = 64;
+  const char* const kEntries[] = {"get", "get_for", "get_batch(1)"};
+  for (int entry = 0; entry < 3; ++entry) {
+    current = std::string("single-get-is-inner-walk/") + kEntries[entry];
+    la::scale::ShardedConfig config;
+    config.shards = 1;
+    config.cache_capacity = 0;
+    Sharded array = make_sharded(config, kCapacity);
+    la::core::LevelArrayConfig flat_config;
+    flat_config.capacity = kCapacity;
+    la::core::LevelArray flat(flat_config);
+    la::rng::MarsagliaXorshift rng(31);
+    la::rng::MarsagliaXorshift flat_rng(31);
+
+    // Each side frees its own names, so a divergence is counted, not
+    // turned into a double free.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> held;
+    std::uint64_t mismatches = 0;
+    auto step = [&] {
+      la::GetResult got;
+      if (entry == 0) {
+        got = array.get(rng);
+      } else if (entry == 1) {
+        CHECK(array.get_for(rng, got,
+                            la::sync::FutexWord::monotonic_now_ns() + kFarNs));
+      } else {
+        CHECK(array.get_batch(rng, &got, 1) == 1);
+      }
+      const la::GetResult want = flat.get(flat_rng);
+      if (got.name != want.name || got.probes != want.probes ||
+          got.deepest_batch != want.deepest_batch) {
+        ++mismatches;
+      }
+      held.emplace_back(got.name, want.name);
+    };
+    for (std::uint64_t i = 0; i < kCapacity; ++i) step();
+    for (std::uint64_t i = 0; i < 4 * kCapacity; ++i) {
+      const std::size_t victim = (i * 7) % held.size();
+      array.free(held[victim].first);
+      flat.free(held[victim].second);
+      held[victim] = held.back();
+      held.pop_back();
+      step();
+    }
+    CHECK(mismatches == 0);
+    for (const auto& names : held) array.free(names.first);
+  }
+}
+
 }  // namespace
 
 int main() {
   check_cache_hits_and_flush();
   check_drain_restores_shards();
-  check_global_miss_reclaims_parked();
+  check_global_miss_reclaims_parked(/*timed=*/false);
+  check_global_miss_reclaims_parked(/*timed=*/true);
+  check_single_get_is_the_inner_walk();
   check_thread_exit_flush_and_slot_reuse();
   check_uncached_overflow_mode();
   check_routing_edges();
