@@ -10,7 +10,10 @@
 // grid's <= n one-shot-processes precondition is preserved, while churn
 // workloads see a steady-state Get of one probe. The structure keeps the
 // splitter's signature costs — Theta(n^2) memory, O(n) worst-case walk —
-// which is exactly what the comparison benches are after.
+// which is exactly what the comparison benches are after. The activity
+// cells are a core::SlotArray with one slot per name: its checked release
+// is Free, and its word scan is Collect. Slot 0 is never issued, so the
+// release rejects name 0 and the scan never reports it.
 #pragma once
 
 #include <atomic>
@@ -20,9 +23,8 @@
 #include <vector>
 
 #include "arrays/splitter_grid.hpp"
-#include "core/slot_scan.hpp"
+#include "core/slot_array.hpp"
 #include "core/types.hpp"
-#include "sync/tas_cell.hpp"
 
 namespace la::api {
 
@@ -37,9 +39,10 @@ class SplitterRenamer {
       : grid_(checked_capacity(capacity)),
         // Grid names are 1..namespace_size, overflow names continue for
         // another contention_bound entries; slot 0 is never issued.
-        name_bound_(grid_.namespace_size() + grid_.contention_bound() + 1),
-        active_(name_bound_),
-        next_(name_bound_) {
+        active_("SplitterRenamer",
+                grid_.namespace_size() + grid_.contention_bound() + 1,
+                grid_.contention_bound()),
+        next_(active_.total_slots()) {
     for (auto& n : next_) n.store(kNull, std::memory_order_relaxed);
   }
 
@@ -75,31 +78,16 @@ class SplitterRenamer {
   }
 
   void free(std::uint64_t name) {
-    if (name >= name_bound_) {
-      throw std::out_of_range("SplitterRenamer::free: name out of range");
-    }
-    if (name == 0 || !active_[name].held()) {
-      throw std::logic_error(
-          "SplitterRenamer::free: name not held (double free?)");
-    }
-    active_[name].release();
+    active_.free(name);
     push(static_cast<std::uint32_t>(name));
   }
 
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    // Slot 0 is never issued; word-scan the issuable range and shift the
-    // indices back into name space.
-    std::size_t found = 0;
-    core::slot_scan::for_each_held(active_.data() + 1, name_bound_ - 1,
-                                   [&](std::uint64_t offset) {
-                                     out.push_back(offset + 1);
-                                     ++found;
-                                   });
-    return found;
+    return active_.collect(out);
   }
 
-  std::uint64_t capacity() const { return grid_.contention_bound(); }
-  std::uint64_t total_slots() const { return name_bound_; }
+  std::uint64_t capacity() const { return active_.capacity(); }
+  std::uint64_t total_slots() const { return active_.total_slots(); }
   const arrays::SplitterGrid& grid() const { return grid_; }
 
  private:
@@ -152,8 +140,7 @@ class SplitterRenamer {
   }
 
   arrays::SplitterGrid grid_;
-  std::uint64_t name_bound_;
-  std::vector<sync::TasCell> active_;
+  core::SlotArray active_;
   std::vector<std::atomic<std::uint32_t>> next_;
   std::atomic<std::uint64_t> head_{pack(0, kNull)};
   std::atomic<std::uint64_t> next_id_{1};

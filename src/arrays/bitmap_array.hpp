@@ -2,7 +2,8 @@
 // slot (64 slots per 8-byte word) instead of the LevelArray's one byte
 // per slot. Collect scans 8x fewer cache lines; Get pays a CAS-loop on a
 // shared word. Random uniform probing, no batch structure — this isolates
-// the layout variable, not the algorithm.
+// the layout variable, not the algorithm. Not a core::SlotArray: packed
+// words need their own Free, Collect and adoption.
 #pragma once
 
 #include <atomic>

@@ -2,26 +2,22 @@
 // paper leaves off its charts: at load factor f the scan inspects ~fL
 // slots per Get, roughly two orders of magnitude above the randomized
 // algorithms. The Rng parameter is accepted (and ignored) so the drivers
-// can template over array types.
+// can template over array types. Free, Collect and checkpoint adoption
+// are core::SlotArray's; only the Get is this file's.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <vector>
 
-#include "core/slot_scan.hpp"
+#include "core/slot_array.hpp"
 #include "core/types.hpp"
-#include "sync/tas_cell.hpp"
 
 namespace la::arrays {
 
-class SequentialScanArray {
+class SequentialScanArray : public core::SlotArray {
  public:
   SequentialScanArray(std::uint64_t total_slots, std::uint64_t capacity)
-      : capacity_(capacity), slots_(total_slots < 2 ? 2 : total_slots) {}
-
-  SequentialScanArray(const SequentialScanArray&) = delete;
-  SequentialScanArray& operator=(const SequentialScanArray&) = delete;
+      : SlotArray("SequentialScanArray", total_slots < 2 ? 2 : total_slots,
+                  capacity) {}
 
   template <typename Rng>
   GetResult get(Rng& rng) {
@@ -38,48 +34,6 @@ class SequentialScanArray {
       }
     }
   }
-
-  void free(std::uint64_t name) {
-    if (name >= slots_.size()) {
-      throw std::out_of_range("SequentialScanArray::free: name out of range");
-    }
-    if (!slots_[name].held()) {
-      throw std::logic_error(
-          "SequentialScanArray::free: slot not held (double free?)");
-    }
-    slots_[name].release();
-  }
-
-  std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    core::slot_scan::for_each_held(slots_.data(), slots_.size(),
-                                   [&](std::uint64_t slot) {
-                                     out.push_back(slot);
-                                     ++found;
-                                   });
-    return found;
-  }
-
-  std::uint64_t total_slots() const { return slots_.size(); }
-  std::uint64_t capacity() const { return capacity_; }
-
-  // Checkpoint adoption (src/api/snapshot.hpp): re-seed one held slot on
-  // restore, keeping the name's numeric identity.
-  void adopt_held(std::uint64_t name) {
-    if (name >= slots_.size()) {
-      throw std::out_of_range(
-          "SequentialScanArray::adopt_held: name out of range");
-    }
-    if (!slots_[name].try_acquire()) {
-      throw std::logic_error(
-          "SequentialScanArray::adopt_held: slot already held "
-          "(duplicate name)");
-    }
-  }
-
- private:
-  std::uint64_t capacity_;
-  std::vector<sync::TasCell> slots_;
 };
 
 }  // namespace la::arrays

@@ -10,11 +10,13 @@
 // distribution, steady-state churn drains overcrowded deep batches back
 // toward the balanced state (paper Fig. 3, reproduced by fig3_healing).
 //
-// Concurrency surface: every shared word here is a sync::TasCell read
-// through core::slot_scan — both of which sit on the la::detail::atomic
-// seam (sync/atomic_select.hpp), so under -DLEVELARRAY_VERIFY the probe/
-// claim/release/collect protocol below runs under the exhaustive
-// interleaving checker in src/verify/ with no changes to this file.
+// The slot array itself — checked Free, Collect and its per-byte
+// reference, checkpoint adoption — is core::SlotArray; this class adds
+// the batch geometry and the Get walks. Every shared word is a
+// sync::TasCell read through core::slot_scan, both on the
+// la::detail::atomic seam (sync/atomic_select.hpp), so under
+// -DLEVELARRAY_VERIFY the probe/claim/release/collect protocol runs under
+// the exhaustive interleaving checker in src/verify/ unchanged.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +24,10 @@
 #include <vector>
 
 #include "core/geometry.hpp"
+#include "core/slot_array.hpp"
 #include "core/slot_scan.hpp"
 #include "core/types.hpp"
 #include "rng/rng.hpp"
-#include "sync/tas_cell.hpp"
 
 namespace la::core {
 
@@ -39,15 +41,14 @@ struct LevelArrayConfig {
   std::vector<std::uint8_t> probes_per_batch = {1};
 };
 
-class LevelArray {
+class LevelArray : public SlotArray {
  public:
   explicit LevelArray(const LevelArrayConfig& config)
-      : config_(config),
-        geometry_(slot_count(config)),
-        slots_(geometry_.total_slots()) {}
-
-  LevelArray(const LevelArray&) = delete;
-  LevelArray& operator=(const LevelArray&) = delete;
+      : SlotArray("LevelArray",
+                  scaled_slots(config.size_multiplier, config.capacity),
+                  config.capacity),
+        config_(config),
+        geometry_(total_slots()) {}
 
   template <typename Rng>
   GetResult get(Rng& rng) {
@@ -144,19 +145,6 @@ class LevelArray {
     return k;
   }
 
-  void free(std::uint64_t name) {
-    if (name >= slots_.size()) {
-      throw std::out_of_range("LevelArray::free: name out of range");
-    }
-    // Only the holder may free, so this read is race-free; a clear slot
-    // here means a driver double-freed (or freed a name it never got) and
-    // would otherwise silently corrupt occupancy.
-    if (!slots_[name].held()) {
-      throw std::logic_error("LevelArray::free: slot not held (double free?)");
-    }
-    slots_[name].release();
-  }
-
   // Batch release. Names that landed in the same 8-slot word (the common
   // shape out of get_batch's window claims) are verified against one
   // held-lane snapshot instead of one held() read each; lanes are
@@ -179,47 +167,18 @@ class LevelArray {
           const std::uint64_t lane_bit = std::uint64_t{0x80}
                                          << (8 * (names[r] - base));
           if ((lanes & lane_bit) == 0) {
-            throw std::logic_error(
-                "LevelArray::free_batch: slot not held (double free?)");
+            fail_state("free_batch", "slot not held (double free?)");
           }
           lanes ^= lane_bit;
           slots_[names[r]].release();
         }
       } else {
-        for (std::size_t r = i; r < j; ++r) free(names[r]);
+        for (std::size_t r = i; r < j; ++r) free(names[r], "free_batch");
       }
       i = j;
     }
   }
 
-  // Appends the names of all held slots to out; returns how many were
-  // found. Theta(L) by design — the dense byte layout is what makes this
-  // a sequential cache-friendly scan, and the word engine reads 8 slots
-  // per load (racy-snapshot semantics, see core/slot_scan.hpp).
-  std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    slot_scan::for_each_held(slots_.data(), slots_.size(),
-                             [&](std::uint64_t slot) {
-                               out.push_back(slot);
-                               ++found;
-                             });
-    return found;
-  }
-
-  // Per-byte reference collect, kept as the collect_cost --scan=byte
-  // ablation baseline and the oracle the parity tests compare against.
-  std::size_t collect_bytewise(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    slot_scan::for_each_held_bytewise(slots_.data(), slots_.size(),
-                                      [&](std::uint64_t slot) {
-                                        out.push_back(slot);
-                                        ++found;
-                                      });
-    return found;
-  }
-
-  std::uint64_t total_slots() const { return geometry_.total_slots(); }
-  std::uint64_t capacity() const { return config_.capacity; }
   const Geometry& geometry() const { return geometry_; }
   const LevelArrayConfig& config() const { return config_; }
 
@@ -258,30 +217,9 @@ class LevelArray {
     return names;
   }
 
-  // Checkpoint adoption (src/api/snapshot.hpp): force the named slot into
-  // the held state on a freshly built instance so a restored image's names
-  // keep their numeric identity. Restore-time callers run single-threaded,
-  // but try_acquire (not mark_held) keeps the claim edge so a duplicate
-  // name in a corrupt image fails loudly instead of silently double-
-  // marking one slot.
-  void adopt_held(std::uint64_t name) {
-    if (name >= slots_.size()) {
-      throw std::out_of_range("LevelArray::adopt_held: name out of range");
-    }
-    if (!slots_[name].try_acquire()) {
-      throw std::logic_error(
-          "LevelArray::adopt_held: slot already held (duplicate name)");
-    }
-  }
-
  private:
-  static std::uint64_t slot_count(const LevelArrayConfig& config) {
-    return scaled_slots(config.size_multiplier, config.capacity);
-  }
-
   LevelArrayConfig config_;
   Geometry geometry_;
-  std::vector<sync::TasCell> slots_;
 };
 
 }  // namespace la::core

@@ -29,9 +29,10 @@
 //     every shard refuses (see the api batch contract); free_batch
 //     validates the whole batch against the held-bitmap before touching
 //     any shared state.
-//   * One Get path: get_batch is the only shard sweep, get_batch_for the
-//     only wait ladder; a single-name Get is a cache pop, then k = 1, and
-//     a shard accepting one name runs the inner get (the paper's walk).
+//   * One Get path: sweep_shards is the only shard sweep, wait_for_grant
+//     the only wait ladder; a single-name Get is one cache pop, then a
+//     k = 1 sweep, and a shard accepting one name runs the inner get
+//     (the paper's walk).
 //
 // The cache is deliberately not a locked container: each entry ("bin")
 // is a single std::atomic<uint64_t> holding name+1, 0 when empty. The
@@ -49,11 +50,12 @@
 // Names are globally unique: global = shard * stride + local, where
 // stride is the max inner slot count rounded up to a power of two (shard
 // and local are one shift/mask on the Free path). The wrapper keeps a
-// dense held-bitmap of *logically* held names — marked on Get, cleared
-// on Free, both non-RMW (the name's exclusivity already rides on the bin
-// exchange or the inner TAS) — which gives exact double-free detection
-// even for parked names and makes collect() one word-scan over a dense
-// TasCell array, identical in shape to the LevelArray's own Collect.
+// dense held-bitmap of *logically* held names — marked on Get (non-RMW:
+// the name's exclusivity already rides on the bin exchange or the inner
+// TAS), cleared on Free — which gives exact double-free detection even
+// for parked names. It is a core::SlotArray, the same object as the
+// LevelArray's own slots, so its checked release is every Free's check
+// and its word scan is collect().
 //
 // Happens-before ledger (what makes the above sound):
 //   park(seq_cst exchange of the bin) ->  steal/pop(acquire exchange):
@@ -77,14 +79,13 @@
 #include <vector>
 
 #include "api/renamer.hpp"
-#include "core/slot_scan.hpp"
+#include "core/slot_array.hpp"
 #include "core/types.hpp"
 #include "scale/thread_cache.hpp"
 #include "sync/atomic_select.hpp"
 #include "sync/cache.hpp"
 #include "sync/futex.hpp"
 #include "sync/spin_lock.hpp"
-#include "sync/tas_cell.hpp"
 #include "sync/wait_queue.hpp"
 
 namespace la::scale {
@@ -96,8 +97,10 @@ struct ShardedConfig {
   // and overflow probing still apply). A full cache flushes its oldest
   // half (at least one name) back to the shards.
   std::uint32_t cache_capacity = 16;
-  // Cache slots available; threads beyond this run uncached (correct,
-  // just slower). Slots freed by exited threads are reused.
+  // Per-thread slots (cache bins + home shard), claimed on first touch
+  // even when cache_capacity is 0. Threads beyond this run uncached
+  // (correct, just slower) on a home shard hashed from their thread id.
+  // Slots freed by exited threads are reused.
   std::uint32_t max_threads = 128;
 };
 
@@ -158,28 +161,18 @@ class ShardedRenamer {
   // (the registry gives every shard ceil(capacity / S)).
   template <typename Factory>
   ShardedRenamer(const ShardedConfig& config, Factory&& make_shard)
-      : config_(sanitized(config)), id_(detail::next_instance_id()) {
-    shards_.reserve(config_.shards);
-    for (std::uint32_t s = 0; s < config_.shards; ++s) {
-      shards_.push_back(make_shard(s));
-      if (shards_.back() == nullptr) {
-        throw std::invalid_argument("ShardedRenamer: null shard factory");
-      }
-    }
-    std::uint64_t max_slots = 1;
+      : config_(sanitized(config)),
+        id_(detail::next_instance_id()),
+        shards_(make_shards(config_.shards, make_shard)),
+        stride_shift_(stride_shift_for(shards_)),
+        stride_(std::uint64_t{1} << stride_shift_),
+        held_("ShardedRenamer",
+              static_cast<std::uint64_t>(config_.shards) << stride_shift_,
+              total_capacity(shards_)) {
     for (const auto& shard : shards_) {
       gates_.push_back(shard->capacity());
       local_bounds_.push_back(shard->total_slots());
-      capacity_ += shard->capacity();
-      if (shard->total_slots() > max_slots) max_slots = shard->total_slots();
     }
-    while ((std::uint64_t{1} << stride_shift_) < max_slots) ++stride_shift_;
-    if (stride_shift_ >= 53) {
-      throw std::invalid_argument("ShardedRenamer: shard stride overflows");
-    }
-    stride_ = std::uint64_t{1} << stride_shift_;
-    total_slots_ = static_cast<std::uint64_t>(config_.shards) * stride_;
-    held_ = std::vector<sync::TasCell>(total_slots_);
     counts_ = std::vector<sync::CachePadded<detail::ShardCounters>>(
         config_.shards);
     caches_ = std::vector<sync::CachePadded<detail::CacheSlot>>(
@@ -220,13 +213,15 @@ class ShardedRenamer {
   // deadline (api::kNoDeadline = forever), then refuse with false — the
   // timed-out refusal the api::get_for contract defines. Counted in
   // wait_stats().timeouts. A cache hit returns before the wait ladder is
-  // entered, which keeps the hot Free+Get pair as cheap as one pop.
+  // entered, which keeps the hot Free+Get pair as cheap as one pop; a
+  // miss goes straight to the shard sweep, without walking the cache a
+  // second time.
   template <typename Rng>
   bool get_for(Rng& rng, GetResult& out, std::uint64_t deadline_ns) {
-    detail::CacheSlot* cache =
-        config_.cache_capacity != 0 ? cache_slot() : nullptr;
+    detail::CacheSlot* cache = cache_slot();
     if (cache != nullptr && pop_parked_batch(*cache, &out, 1) == 1) return true;
-    return get_batch_for(rng, &out, 1, deadline_ns) == 1;
+    return wait_for_grant(rng, &out, 1, deadline_ns,
+                          sweep_shards(rng, &out, 1, 0, cache)) == 1;
   }
 
   // Batch claim: pop parked names in one walk down the cache stack, then
@@ -240,121 +235,23 @@ class ShardedRenamer {
   template <typename Rng>
   std::size_t get_batch(Rng& rng, GetResult* out, std::size_t k) {
     if (k == 0) return 0;
-    detail::CacheSlot* cache =
-        config_.cache_capacity != 0 ? cache_slot() : nullptr;
-    std::size_t granted = 0;
-    if (cache != nullptr) {
-      granted = pop_parked_batch(*cache, out, k);
-      if (granted == k) return granted;
-    }
-    const std::uint32_t home =
-        cache != nullptr ? cache->home_shard : hashed_home();
-    const std::size_t first_shared = granted;
-    bool drained = false;
-    for (;;) {
-      std::uint32_t refusals = 0;
-      for (std::uint32_t i = 0; i < config_.shards && granted < k; ++i) {
-        const std::uint32_t s = ring(home, i);
-        detail::ShardCounters& count = *counts_[s];
-        const std::uint64_t want = k - granted;
-        const std::uint64_t prev =
-            count.occupancy.fetch_add(want, std::memory_order_relaxed);
-        const std::uint64_t room = prev < gates_[s] ? gates_[s] - prev : 0;
-        const std::uint64_t accepted = room < want ? room : want;
-        if (accepted < want) {
-          // Exact refund of the unclaimable remainder; the gate never
-          // drifts past what this sweep actually takes.
-          refund_gate(s, want - accepted);
-          count.refusals.fetch_add(1, std::memory_order_relaxed);
-          ++refusals;
-        }
-        if (accepted == 0) continue;
-        std::size_t got = 1;
-        try {
-          if (accepted == 1) {
-            out[granted] = shards_[s]->get(rng);  // the paper's probe walk
-          } else {
-            got = api::get_batch(*shards_[s], rng, out + granted,
-                                 static_cast<std::size_t>(accepted));
-          }
-        } catch (...) {
-          refund_gate(s, accepted);
-          throw;
-        }
-        if (got < accepted) refund_gate(s, accepted - got);
-        count.shared_gets.fetch_add(got, std::memory_order_relaxed);
-        for (std::size_t g = 0; g < got; ++g) {
-          GetResult inner = out[granted + g];
-          out[granted + g] = grant(
-              (static_cast<std::uint64_t>(s) << stride_shift_) | inner.name,
-              inner.probes, inner);
-        }
-        granted += got;
-      }
-      if (granted > first_shared && refusals != 0) {
-        // Overflow probes past full shards in this sweep ride on its
-        // first shard-claimed result; refusals from earlier (fully
-        // refused) sweeps are counted in shard_refusals only.
-        out[first_shared].probes += refusals;
-      }
-      if (granted > 0) return granted;
-      if (drained) return 0;
-      // Every shard refused and the cache had nothing: parked names are
-      // the reclaimable capacity — drain once, sweep again, and only
-      // then report the refusal upward.
-      drain_caches();
-      drained = true;
-    }
+    detail::CacheSlot* cache = cache_slot();
+    const std::size_t granted =
+        cache != nullptr ? pop_parked_batch(*cache, out, k) : 0;
+    if (granted == k) return granted;
+    return sweep_shards(rng, out, k, granted, cache);
   }
 
-  // Bounded-wait batch claim, and the one wait ladder (get and get_for
-  // enter it with k = 1): retries get_batch until *something* is granted
-  // or the deadline passes. Returns the granted count — a partial grant
-  // returns immediately (the api batch contract hands the top-up retry
-  // to the caller); 0 means the deadline expired with every shard at
-  // its bound (counted in wait_stats().timeouts).
-  //
-  // A zero grant means every shard refused even after get_batch drained
-  // the parked names. Back off first (a refusal storm can be peers'
-  // transient gate reservations); once spin and yield are spent, park on
-  // the FIFO wait queue. Parking is the eventcount protocol: register,
-  // re-probe, only then sleep, so a Free between probe and sleep wakes
-  // us (no lost wakeups; see wait_queue.hpp). A single Free wakes the
-  // oldest waiter, and a woken waiter that loses the sweep re-parks at
-  // the *front*, so starvation is bounded by queue position.
+  // Bounded-wait batch claim: retries get_batch until *something* is
+  // granted or the deadline passes. Returns the granted count — a
+  // partial grant returns immediately (the api batch contract hands the
+  // top-up retry to the caller); 0 means the deadline expired with every
+  // shard at its bound (counted in wait_stats().timeouts).
   template <typename Rng>
   std::size_t get_batch_for(Rng& rng, GetResult* out, std::size_t k,
                             std::uint64_t deadline_ns) {
     if (k == 0) return 0;
-    sync::Backoff backoff;
-    bool handoff = false;
-    for (;;) {
-      const std::size_t granted = get_batch(rng, out, k);
-      if (granted != 0) return granted;
-      gate_wait_rounds_.fetch_add(1, std::memory_order_relaxed);
-      if (deadline_ns != api::kNoDeadline &&
-          sync::FutexWord::monotonic_now_ns() >= deadline_ns) {
-        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
-      }
-      if (!backoff.should_park()) {
-        backoff.pause();
-        continue;
-      }
-      sync::WaitQueue::Waiter waiter;
-      wait_queue_.prepare_wait(waiter, handoff);
-      if (probe_capacity()) {
-        wait_queue_.cancel_wait(waiter);
-        continue;
-      }
-      gate_parks_.fetch_add(1, std::memory_order_relaxed);
-      if (wait_queue_.commit_wait(waiter, deadline_ns) ==
-          sync::WaitResult::kTimedOut) {
-        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
-      }
-      handoff = true;  // granted a wake: keep queue position on re-park
-    }
+    return wait_for_grant(rng, out, k, deadline_ns, get_batch(rng, out, k));
   }
 
   void free(std::uint64_t name) {
@@ -418,17 +315,11 @@ class ShardedRenamer {
   // acquired inside their shard). Monitoring, stats, and snapshot
   // paths that tolerate racy-snapshot semantics use this.
   std::size_t peek_held(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    core::slot_scan::for_each_held(held_.data(), held_.size(),
-                                   [&](std::uint64_t name) {
-                                     out.push_back(name);
-                                     ++found;
-                                   });
-    return found;
+    return held_.collect(out);
   }
 
-  std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t total_slots() const { return total_slots_; }
+  std::uint64_t capacity() const { return held_.capacity(); }
+  std::uint64_t total_slots() const { return held_.total_slots(); }
 
   std::uint32_t num_shards() const { return config_.shards; }
   std::uint64_t shard_stride() const { return stride_; }
@@ -496,15 +387,12 @@ class ShardedRenamer {
           "ShardedRenamer::adopt_held: name does not route to any shard "
           "slot in this configuration");
     }
-    if (!held_[name].try_acquire()) {
-      throw std::logic_error(
-          "ShardedRenamer::adopt_held: name already held (duplicate name)");
-    }
+    held_.adopt_held(name);
     detail::ShardCounters& count = *counts_[s];
     if (count.occupancy.fetch_add(1, std::memory_order_relaxed) >=
         gates_[s]) {
       count.occupancy.fetch_sub(1, std::memory_order_relaxed);
-      held_[name].release();
+      held_.free(name);
       throw std::length_error(
           "ShardedRenamer::adopt_held: shard gate at capacity (image does "
           "not fit this configuration)");
@@ -513,7 +401,7 @@ class ShardedRenamer {
       shards_[s]->adopt_held(name & (stride_ - 1));
     } catch (...) {
       count.occupancy.fetch_sub(1, std::memory_order_relaxed);
-      held_[name].release();
+      held_.free(name);
       throw;
     }
   }
@@ -525,28 +413,170 @@ class ShardedRenamer {
     return config;
   }
 
+  using Shards = std::vector<std::unique_ptr<Inner>>;
+
+  template <typename Factory>
+  static Shards make_shards(std::uint32_t count, Factory& make_shard) {
+    Shards shards;
+    shards.reserve(count);
+    for (std::uint32_t s = 0; s < count; ++s) {
+      shards.push_back(make_shard(s));
+      if (shards.back() == nullptr) {
+        throw std::invalid_argument("ShardedRenamer: null shard factory");
+      }
+    }
+    return shards;
+  }
+
+  // log2 of the name stride: the largest shard's slot count, rounded up
+  // to a power of two.
+  static std::uint32_t stride_shift_for(const Shards& shards) {
+    std::uint64_t max_slots = 1;
+    for (const auto& shard : shards) {
+      if (shard->total_slots() > max_slots) max_slots = shard->total_slots();
+    }
+    std::uint32_t shift = 0;
+    while ((std::uint64_t{1} << shift) < max_slots) ++shift;
+    if (shift >= 53) {
+      throw std::invalid_argument("ShardedRenamer: shard stride overflows");
+    }
+    return shift;
+  }
+
+  static std::uint64_t total_capacity(const Shards& shards) {
+    std::uint64_t total = 0;
+    for (const auto& shard : shards) total += shard->capacity();
+    return total;
+  }
+
   // Does `name` decompose to a real slot of some shard (below
   // total_slots and outside the stride gap past the shard's own slots)?
   bool routes(std::uint64_t name) const {
-    return name < total_slots_ &&
+    return name < held_.total_slots() &&
            (name & (stride_ - 1)) <
                local_bounds_[static_cast<std::size_t>(name >> stride_shift_)];
   }
 
-  // Every Free path's check-and-clear of the logical held bit. Only the
-  // holder may free, so the read is race-free (same argument as
-  // LevelArray::free); parked names have this bit clear, so a double
-  // free of a parked name fails here, loudly.
+  // Every Free path's check-and-clear of the logical held bit: the
+  // routing check, then the held-bitmap's checked release. Parked names
+  // have this bit clear, so a double free of a parked name fails here,
+  // loudly.
   void clear_held(std::uint64_t name, const char* op) {
     if (!routes(name)) {
       throw std::out_of_range(std::string("ShardedRenamer::") + op +
                               ": name out of range");
     }
-    if (!held_[name].held()) {
-      throw std::logic_error(std::string("ShardedRenamer::") + op +
-                             ": name not held (double free?)");
+    held_.free(name, op);
+  }
+
+  // get_batch's shard sweep from `cache`'s home shard (this thread's
+  // slot, or nullptr past max_threads), `granted` names already popped.
+  template <typename Rng>
+  std::size_t sweep_shards(Rng& rng, GetResult* out, std::size_t k,
+                           std::size_t granted,
+                           const detail::CacheSlot* cache) {
+    const std::uint32_t home =
+        cache != nullptr ? cache->home_shard : hashed_home();
+    const std::size_t first_shared = granted;
+    bool drained = false;
+    for (;;) {
+      std::uint32_t refusals = 0;
+      for (std::uint32_t i = 0; i < config_.shards && granted < k; ++i) {
+        const std::uint32_t s = ring(home, i);
+        detail::ShardCounters& count = *counts_[s];
+        const std::uint64_t want = k - granted;
+        const std::uint64_t prev =
+            count.occupancy.fetch_add(want, std::memory_order_relaxed);
+        const std::uint64_t room = prev < gates_[s] ? gates_[s] - prev : 0;
+        const std::uint64_t accepted = room < want ? room : want;
+        if (accepted < want) {
+          // Exact refund of the unclaimable remainder; the gate never
+          // drifts past what this sweep actually takes.
+          refund_gate(s, want - accepted);
+          count.refusals.fetch_add(1, std::memory_order_relaxed);
+          ++refusals;
+        }
+        if (accepted == 0) continue;
+        std::size_t got = 1;
+        try {
+          if (accepted == 1) {
+            out[granted] = shards_[s]->get(rng);  // the paper's probe walk
+          } else {
+            got = api::get_batch(*shards_[s], rng, out + granted,
+                                 static_cast<std::size_t>(accepted));
+          }
+        } catch (...) {
+          refund_gate(s, accepted);
+          throw;
+        }
+        if (got < accepted) refund_gate(s, accepted - got);
+        count.shared_gets.fetch_add(got, std::memory_order_relaxed);
+        for (std::size_t g = 0; g < got; ++g) {
+          GetResult inner = out[granted + g];
+          out[granted + g] = grant(
+              (static_cast<std::uint64_t>(s) << stride_shift_) | inner.name,
+              inner.probes, inner);
+        }
+        granted += got;
+      }
+      if (granted > first_shared && refusals != 0) {
+        // Overflow probes past full shards in this sweep ride on its
+        // first shard-claimed result; refusals from earlier (fully
+        // refused) sweeps are counted in shard_refusals only.
+        out[first_shared].probes += refusals;
+      }
+      if (granted > 0) return granted;
+      if (drained) return 0;
+      // Every shard refused and the cache had nothing: parked names are
+      // the reclaimable capacity — drain once, sweep again, and only
+      // then report the refusal upward.
+      drain_caches();
+      drained = true;
     }
-    held_[name].release();
+  }
+
+  // The one wait ladder (get, get_for and get_batch_for enter it), given
+  // the count its first get_batch attempt granted.
+  //
+  // A zero grant means every shard refused even after get_batch drained
+  // the parked names. Back off first (a refusal storm can be peers'
+  // transient gate reservations); once spin and yield are spent, park on
+  // the FIFO wait queue. Parking is the eventcount protocol: register,
+  // re-probe, only then sleep, so a Free between probe and sleep wakes
+  // us (no lost wakeups; see wait_queue.hpp). A single Free wakes the
+  // oldest waiter, and a woken waiter that loses the sweep re-parks at
+  // the *front*, so starvation is bounded by queue position.
+  template <typename Rng>
+  std::size_t wait_for_grant(Rng& rng, GetResult* out, std::size_t k,
+                             std::uint64_t deadline_ns, std::size_t granted) {
+    sync::Backoff backoff;
+    bool handoff = false;
+    for (;; granted = get_batch(rng, out, k)) {
+      if (granted != 0) return granted;
+      gate_wait_rounds_.fetch_add(1, std::memory_order_relaxed);
+      if (deadline_ns != api::kNoDeadline &&
+          sync::FutexWord::monotonic_now_ns() >= deadline_ns) {
+        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        return 0;
+      }
+      if (!backoff.should_park()) {
+        backoff.pause();
+        continue;
+      }
+      sync::WaitQueue::Waiter waiter;
+      wait_queue_.prepare_wait(waiter, handoff);
+      if (probe_capacity()) {
+        wait_queue_.cancel_wait(waiter);
+        continue;
+      }
+      gate_parks_.fetch_add(1, std::memory_order_relaxed);
+      if (wait_queue_.commit_wait(waiter, deadline_ns) ==
+          sync::WaitResult::kTimedOut) {
+        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        return 0;
+      }
+      handoff = true;  // granted a wake: keep queue position on re-park
+    }
   }
 
   std::uint32_t ring(std::uint32_t home, std::uint32_t step) const {
@@ -554,6 +584,8 @@ class ShardedRenamer {
     return s < config_.shards ? s : s - config_.shards;
   }
 
+  // Home shard of a thread past max_threads, which has no slot to name
+  // one (every other thread, cached or not, takes its slot's).
   std::uint32_t hashed_home() const {
 #if defined(LEVELARRAY_VERIFY)
     // Every fiber shares the one real thread's id; the runtime's logical
@@ -758,8 +790,8 @@ class ShardedRenamer {
                        std::memory_order_relaxed);
   }
 
-  // This thread's cache slot (claiming one on first touch), or nullptr
-  // when all slots are taken. One thread_local (id, slot) pair makes the
+  // This thread's slot (claiming one on first touch), or nullptr when
+  // all slots are taken. One thread_local (id, slot) pair makes the
   // steady-state lookup a single compare; instance ids are never reused,
   // so a stale pair can only miss, never alias.
   detail::CacheSlot* cache_slot() {
@@ -816,14 +848,13 @@ class ShardedRenamer {
 
   ShardedConfig config_;
   std::uint64_t id_;
-  std::vector<std::unique_ptr<Inner>> shards_;
+  Shards shards_;
+  std::uint32_t stride_shift_;
+  std::uint64_t stride_;
+  // Logically held names (marked on grant, cleared on Free).
+  core::SlotArray held_;
   std::vector<std::uint64_t> gates_;
   std::vector<std::uint64_t> local_bounds_;
-  std::uint64_t capacity_ = 0;
-  std::uint32_t stride_shift_ = 0;
-  std::uint64_t stride_ = 1;
-  std::uint64_t total_slots_ = 0;
-  std::vector<sync::TasCell> held_;
   mutable std::vector<sync::CachePadded<detail::ShardCounters>> counts_;
   mutable std::vector<sync::CachePadded<detail::CacheSlot>> caches_;
   mutable std::vector<la::detail::atomic<std::uint64_t>> bins_;

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/slot_array.hpp"
 #include "core/slot_scan.hpp"
 #include "core/types.hpp"
 #include "scale/sharded.hpp"
@@ -341,14 +342,14 @@ LA_VERIFY_CELL(mutant_ring_relaxed_publish,
 
 // --------------------------------------------------------- sharded cache
 
-// Minimal api::Renamer for the sharding cells: a dense TasCell array
-// with first-fit Get. Total below the gate bound (the gate admits only
-// when true holds < capacity, so a clear slot always exists; transient
-// races re-loop through a blocking pause).
-class MiniInner {
+// Minimal api::Renamer for the sharding cells: a core::SlotArray with
+// first-fit Get. Total below the gate bound (the gate admits only when
+// true holds < capacity, so a clear slot always exists; transient races
+// re-loop through a blocking pause).
+class MiniInner : public la::core::SlotArray {
  public:
   explicit MiniInner(std::uint64_t capacity)
-      : capacity_(capacity), slots_(capacity) {}
+      : SlotArray("MiniInner", capacity, capacity) {}
 
   template <typename Rng>
   la::GetResult get(Rng& /*rng*/) {
@@ -365,30 +366,6 @@ class MiniInner {
       backoff.pause();
     }
   }
-
-  void free(std::uint64_t name) {
-    if (name >= slots_.size() || !slots_[name].held()) {
-      throw std::logic_error("MiniInner::free: bad name");
-    }
-    slots_[name].release();
-  }
-
-  std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    la::core::slot_scan::for_each_held_bytewise(
-        slots_.data(), slots_.size(), [&](std::uint64_t s) {
-          out.push_back(s);
-          ++found;
-        });
-    return found;
-  }
-
-  std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t total_slots() const { return capacity_; }
-
- private:
-  std::uint64_t capacity_;
-  std::vector<la::sync::TasCell> slots_;
 };
 
 using MiniSharded = la::scale::ShardedRenamer<MiniInner>;

@@ -8,7 +8,9 @@
 // wall-clock and excluded.
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -71,6 +73,22 @@ la::stress::StressConfig stress_config(const std::string& structure,
   return cfg;
 }
 
+// fn() run while `idle` extra threads are alive, so the threads fn
+// spawns get other stacks, and so other thread ids, than in a plain run.
+template <typename Fn>
+auto with_idle_threads(int idle, Fn fn) {
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < idle; ++i) {
+    threads.emplace_back([released] { released.wait(); });
+  }
+  auto result = fn();
+  release.set_value();
+  for (auto& t : threads) t.join();
+  return result;
+}
+
 }  // namespace
 
 int main() {
@@ -113,6 +131,22 @@ int main() {
       const auto a = bench::run_algo(algo, point_for(42, kind));
       const auto c = bench::run_algo(algo, point_for(43, kind));
       CHECK(!same_trials(a, c));
+    }
+  }
+
+  // The uncached scale layer: a thread's home shard comes from its
+  // attachment slot, not its thread id, so the same seed replays the
+  // same probe stream whichever thread ids the workers get.
+  for (const std::string algo : {"sharded:level", "sharded:linear"}) {
+    current = algo + "/cache=0";
+    auto point = point_for(42, rng::RngKind::kMarsaglia);
+    point.name_cache_capacity = 0;
+    const auto a = bench::run_algo(algo, point);
+    CHECK(a.trials.operations() > 0);
+    for (int idle = 0; idle <= 3; ++idle) {
+      const auto b = with_idle_threads(
+          idle, [&] { return bench::run_algo(algo, point); });
+      CHECK(same_trials(a, b));
     }
   }
 

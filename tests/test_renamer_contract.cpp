@@ -2,16 +2,20 @@
 // the shared api::Renamer contract — distinct names while held (up to the
 // contention bound), freed names reusable, collect() agreeing with the
 // held set, out-of-range free throwing, and double-free failing loudly.
+// Every adoptable structure's adopt_held and every core::SlotArray-backed
+// structure's collect-vs-bytewise parity are checked directly too.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "core/level_array.hpp"
+#include "core/slot_array.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
 
@@ -97,6 +101,71 @@ void check_contract(Array& array, std::uint64_t capacity) {
   CHECK(array.collect(collected) == 0);
 }
 
+// Which exception fn() threw, told apart exactly (out_of_range is itself
+// a logic_error), and its message.
+enum class Thrown { kNone, kOutOfRange, kLogicError, kOther };
+
+template <typename Fn>
+Thrown thrown_by(Fn&& fn, std::string* what = nullptr) {
+  try {
+    fn();
+  } catch (const std::out_of_range& e) {
+    if (what != nullptr) *what = e.what();
+    return Thrown::kOutOfRange;
+  } catch (const std::logic_error& e) {
+    if (what != nullptr) *what = e.what();
+    return Thrown::kLogicError;
+  } catch (...) {
+    return Thrown::kOther;
+  }
+  return Thrown::kNone;
+}
+
+// adopt_held's own checks, which api::restore never reaches (it
+// validates the image first): out_of_range past the end, logic_error on
+// a held name. Then, on core::SlotArray-backed structures, random churn
+// followed by the word-scan collect against its per-byte oracle.
+template <typename Array>
+void check_slot_surface(Array& array, std::uint64_t capacity) {
+  la::rng::MarsagliaXorshift rng(20260901);
+  if constexpr (la::api::has_adopt_held_v<Array>) {
+    const std::uint64_t name = array.get(rng).name;
+    CHECK(thrown_by([&] { array.adopt_held(array.total_slots()); }) ==
+          Thrown::kOutOfRange);
+    CHECK(thrown_by([&] { array.adopt_held(name); }) == Thrown::kLogicError);
+    array.free(name);
+  }
+  if constexpr (std::is_base_of_v<la::core::SlotArray, Array>) {
+    std::vector<std::uint64_t> held;
+    for (std::uint64_t step = 0; step < 16 * capacity; ++step) {
+      if (held.size() < capacity &&
+          (held.empty() || la::rng::bounded(rng, 2) == 0)) {
+        held.push_back(array.get(rng).name);
+      } else {
+        const std::size_t i = la::rng::bounded(rng, held.size());
+        array.free(held[i]);
+        held[i] = held.back();
+        held.pop_back();
+      }
+    }
+    std::vector<std::uint64_t> words, bytes;
+    CHECK(array.collect(words) == array.collect_bytewise(bytes));
+    CHECK(words == bytes);
+    CHECK(words.size() == held.size());
+    // A clear slot adopts, shows up in collect, and frees again.
+    const std::set<std::uint64_t> taken(held.begin(), held.end());
+    std::uint64_t clear = 0;
+    while (taken.count(clear) != 0) ++clear;
+    array.adopt_held(clear);
+    bytes.clear();
+    CHECK(array.collect_bytewise(bytes) == held.size() + 1);
+    array.free(clear);
+    for (const auto name : held) array.free(name);
+  }
+  std::vector<std::uint64_t> collected;
+  CHECK(array.collect(collected) == 0);
+}
+
 }  // namespace
 
 int main() {
@@ -113,12 +182,30 @@ int main() {
     config.capacity = 48;  // keeps the splitter triangle small
     api::visit(current, config, [&](auto& array) {
       check_contract(array, config.capacity);
+      check_slot_surface(array, config.capacity);
     });
     // Aliases resolve to the same canonical entry.
     for (const auto alias : info.aliases) {
       CHECK(api::resolve_structure(std::string(alias)) ==
             std::string(info.name));
     }
+  }
+
+  // IdIndexedArray::get_by_id registers a known id: out_of_range past
+  // the id space, logic_error on an id already registered, and both
+  // messages name the structure and the operation.
+  {
+    current = "id/get_by_id";
+    arrays::IdIndexedArray ids(64, 8);
+    const auto r = ids.get_by_id(5);
+    CHECK(r.name == 5 && r.probes == 1);
+    std::string what;
+    CHECK(thrown_by([&] { ids.get_by_id(64); }, &what) == Thrown::kOutOfRange);
+    CHECK(what.find("IdIndexedArray::get_by_id") != std::string::npos);
+    CHECK(thrown_by([&] { ids.get_by_id(5); }, &what) == Thrown::kLogicError);
+    CHECK(what.find("IdIndexedArray::get_by_id") != std::string::npos);
+    ids.free(5);
+    CHECK(ids.get_by_id(5).name == 5);
   }
 
   // SplitterRenamer edge cases: the Theta(n^2)-memory capacity cap must
