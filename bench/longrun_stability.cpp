@@ -11,7 +11,6 @@
 // stability over time — not just the final number — is visible.
 #include <iostream>
 
-#include "api/registry.hpp"
 #include "bench_util/algos.hpp"
 #include "bench_util/options.hpp"
 #include "stats/table.hpp"
@@ -27,7 +26,6 @@ void print_usage() {
       "  --checkpoints=10    progress rows to print\n"
       "  --mult=1000         emulated registrants per thread\n"
       "  --prefill=0.5       pre-fill fraction\n"
-      "  --rng=marsaglia     probe RNG (marsaglia | lehmer | pcg32)\n"
       "  --seed=42           base RNG seed\n"
       "  --csv               emit CSV\n";
 }
@@ -49,8 +47,6 @@ int main(int argc, char** argv) {
   const auto checkpoints = std::max<std::uint64_t>(opts.get_uint("checkpoints", 10), 1);
   const auto mult = opts.get_uint("mult", 1000);
   const double prefill = opts.get_double("prefill", 0.5);
-  const auto rng_kind =
-      rng::parse_rng_kind(opts.get_string("rng", "marsaglia"));
   const auto seed = opts.get_uint("seed", 42);
 
   std::cout << "# Long-run stability: " << bench::algo_name(structure) << ", "
@@ -60,42 +56,34 @@ int main(int argc, char** argv) {
   stats::Table table({"ops_so_far", "avg_trials", "stddev", "worst_so_far",
                       "p999", "backup_gets"});
 
-  // Run in checkpoint-sized chunks against one persistent structure, so
-  // the "worst so far" column genuinely accumulates over the whole
-  // execution — run_churn is generic over the Renamer contract, so the
-  // persistent structure can be anything in the registry.
-  api::RenamerConfig rc;
-  rc.capacity = mult * threads;
-  rc.rng_kind = rng_kind;
+  // Run in checkpoint-sized chunks, each with its own seed, and merge the
+  // chunks' probe counts, so the "worst so far" column accumulates over
+  // the whole execution. A chunk drains its holds before it returns, so
+  // the fresh structure each chunk builds starts where the last one
+  // ended: empty.
+  bench::SweepPoint point;
+  point.driver.threads = threads;
+  point.driver.emulation_multiplier = mult;
+  point.driver.prefill = prefill;
+  const std::uint64_t ops_per_checkpoint =
+      std::max<std::uint64_t>(total_ops / checkpoints, 2);
+  point.driver.ops_per_thread =
+      std::max<std::uint64_t>(ops_per_checkpoint / threads, 2);
 
   stats::TrialStats cumulative;
   std::uint64_t ops_done = 0;
   std::uint64_t backup_total = 0;
-  const std::uint64_t ops_per_checkpoint =
-      std::max<std::uint64_t>(total_ops / checkpoints, 2);
-
   try {
-    api::visit(structure, rc, [&](auto& array) {
-      for (std::uint64_t cp = 0; cp < checkpoints; ++cp) {
-        bench::DriverConfig driver;
-        driver.threads = threads;
-        driver.emulation_multiplier = mult;
-        driver.prefill = prefill;
-        driver.ops_per_thread =
-            std::max<std::uint64_t>(ops_per_checkpoint / threads, 2);
-        driver.seconds = 0;
-        driver.seed = seed + cp;  // fresh probe streams each chunk
-        driver.rng_kind = rng_kind;
-        const auto result = bench::run_churn(array, driver);
-        cumulative.merge(result.trials);
-        ops_done += result.total_ops;
-        backup_total += result.backup_gets;
-        table.add_row({ops_done, cumulative.average(), cumulative.stddev(),
-                       cumulative.worst_case(), cumulative.p999(),
-                       backup_total});
-      }
-      return 0;
-    });
+    for (std::uint64_t cp = 0; cp < checkpoints; ++cp) {
+      point.driver.seed = seed + cp;  // fresh probe streams each chunk
+      const auto result = bench::run_algo(structure, point);
+      cumulative.merge(result.trials);
+      ops_done += result.total_ops;
+      backup_total += result.backup_gets;
+      table.add_row({ops_done, cumulative.average(), cumulative.stddev(),
+                     cumulative.worst_case(), cumulative.p999(),
+                     backup_total});
+    }
   } catch (const std::invalid_argument& e) {
     // A structure may refuse the configuration (e.g. the splitter's
     // quadratic-memory cap); fail with the reason, not a std::terminate.

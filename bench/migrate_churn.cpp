@@ -316,6 +316,7 @@ int main(int argc, char** argv) {
     bench::BenchReport bench_report("migrate_churn");
     bench_report.add_run()
         .set("structure", "svc:sharded:level")
+        .set("rng", "marsaglia")
         .set("mode", "pre-migration")
         .set("threads", threads)
         .set("batch", static_cast<std::uint64_t>(batch))
@@ -330,6 +331,7 @@ int main(int argc, char** argv) {
         .set("elapsed_seconds", secs_pre);
     bench_report.add_run()
         .set("structure", "svc:sharded:linear")
+        .set("rng", "marsaglia")
         .set("mode", "post-migration")
         .set("threads", threads)
         .set("batch", static_cast<std::uint64_t>(batch))

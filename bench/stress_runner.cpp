@@ -37,7 +37,6 @@ void print_usage() {
       "                      forever). Structures with the deadline surface\n"
       "                      bound each Get; oversub then over-drives demand\n"
       "                      so a nonzero timeout rate is expected\n"
-      "  --rng=marsaglia     probe RNG (marsaglia | lehmer | pcg32)\n"
       "  --seed=42           base RNG seed\n"
       "  --json=<path>       also write the machine-readable report\n"
       "  --csv               emit CSV\n"
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
   base.capacity = opts.get_uint("capacity", 0);
   base.heal_ops = opts.get_uint("heal-ops", 0);
   base.deadline_ns = opts.get_duration_ns("deadline", 0);
-  base.rng_kind = rng::parse_rng_kind(opts.get_string("rng", "marsaglia"));
   base.seed = opts.get_uint("seed", 42);
   const std::string json_path = opts.get_string("json", "");
 
@@ -135,7 +133,7 @@ int main(int argc, char** argv) {
       report_json.add_run()
           .set("structure", structure)
           .set("scenario", stress::scenario_name(scenario))
-          .set("rng", rng::rng_kind_name(base.rng_kind))
+          .set("rng", "marsaglia")
           .set("threads", base.threads)
           .set_object("config",
                       bench::JsonObject()

@@ -357,6 +357,7 @@ int main(int argc, char** argv) {
     bench::BenchReport report("svc_churn");
     report.add_run()
         .set("structure", "svc:sharded:level")
+        .set("rng", "marsaglia")
         .set("mode", "multiprocess")
         .set("threads", clients)  // client processes
         .set("batch", static_cast<std::uint64_t>(batch))
@@ -378,6 +379,7 @@ int main(int argc, char** argv) {
         .set("ok", failures == 0);
     report.add_run()
         .set("structure", "sharded:level")
+        .set("rng", "marsaglia")
         .set("mode", "inprocess")
         .set("threads", clients)
         .set("batch", static_cast<std::uint64_t>(batch))

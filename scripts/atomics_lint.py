@@ -98,9 +98,17 @@ def enclosing_symbols(lines):
     current = "(file scope)"
     brace_depth = 0
     pending = None  # candidate seen, waiting for its opening brace
+    # A line starting with ':' or ',' under a pending candidate opens (or
+    # continues) its mem-initializer list: the member names there look
+    # like calls but must not replace the constructor as the candidate.
+    in_inits = False
     for line in lines:
         code = line.split("//", 1)[0]
-        m = FUNC_RE.match(code)
+        lead = code.lstrip()
+        if (pending is not None and lead[:1] in (":", ",")
+                and not lead.startswith("::")):
+            in_inits = True
+        m = None if in_inits else FUNC_RE.match(code)
         if m and brace_depth <= 2:  # file scope or inside a class body
             name = m.group(1) or m.group(2)
             if name and name not in ("if", "for", "while", "switch", "return",
@@ -108,7 +116,11 @@ def enclosing_symbols(lines):
                 pending = name
         if "{" in code and pending is not None:
             current = pending
-            pending = None
+            # A brace-initialized member mid-list (`x_{0},`) is not the
+            # body's opening brace.
+            if not (in_inits and code.rstrip().endswith(",")):
+                pending = None
+                in_inits = False
         symbols.append(current)
         brace_depth += code.count("{") - code.count("}")
     return symbols
@@ -288,8 +300,27 @@ def self_test():
         "    // atomics-lint: ignore\n    return !flag_.exchange"))
     assert len(ignored) == 1, ignored
 
+    # A constructor's body is filed under the constructor, not under the
+    # last name in its mem-initializer list (brace-initialized members
+    # included).
+    ctor = (
+        "class Node {\n"
+        " public:\n"
+        "  explicit Node(int n)\n"
+        "      : head_(n),\n"
+        "        count_{0},\n"
+        "        next_(make_links(n)) {\n"
+        "    for (auto& x : next_) x.store(0, std::memory_order_relaxed);\n"
+        "  }\n"
+        "};\n"
+    )
+    ctor_sites = extract_file(fake, ctor)
+    assert [(s.symbol, s.op) for s in ctor_sites] == [("Node", "store")], (
+        ctor_sites)
+
     print("self-test OK: clean tree passes, acquire->relaxed downgrade "
-          "fails, ignore marker suppresses")
+          "fails, ignore marker suppresses, constructor bodies file under "
+          "the constructor")
 
 
 def main():

@@ -46,9 +46,12 @@ run_bench_smoke() {
   ./build/sweep --algo=sharded:level --threads=2 --batch=1,16 \
     --mult=2000 --seconds=0.05 --cache=0 \
     --json=build/BENCH_batch.json > /dev/null
+  # One stress cell: stress_runner's report carries the convention keys too.
+  ./build/stress_runner --structure=level --scenario=steady --threads=2 \
+    --ops=2000 --json=build/BENCH_stress.json > /dev/null
   python3 scripts/validate_bench_json.py \
     build/BENCH_collect.json build/BENCH_fig2.json build/BENCH_scaling.json \
-    build/BENCH_batch.json
+    build/BENCH_batch.json build/BENCH_stress.json
   # The scale-layer acceptance bar on the *committed* snapshot (the
   # sharded win is a production-scale locality property — regenerate
   # with `sweep --seconds=0.5 --mult=200000 --algo=level,sharded:level

@@ -7,8 +7,10 @@ Usage: validate_bench_json.py [--scaling-gate=T] [--batch-gate=B]
                               [--svc-gate=B] [--migrate-gate]
                               REPORT.json [...]
 Exits nonzero if any report fails to parse, misses the schema tag, has
-no runs, has a run without positive ops_per_sec, or carries a malformed
-optional batch field (must be an integer >= 1 when present).
+no runs, has a run without the README's five convention keys (string
+structure and rng, integer threads >= 1, a config object, positive
+ops_per_sec), or carries a malformed optional batch field (must be an
+integer >= 1 when present).
 
 --scaling-gate=T additionally asserts the scale-layer acceptance bar on
 the given reports: at thread count T, the sharded:level run must be at
@@ -62,8 +64,15 @@ def validate(path: str) -> dict:
         f"{path}: schema is {doc.get('schema')!r}")
     assert doc["runs"], f"{path}: no runs"
     for run in doc["runs"]:
-        assert isinstance(run.get("structure"), str), f"{path}: {run}"
-        ops = run["ops_per_sec"]
+        for name in ("structure", "rng"):
+            assert isinstance(run.get(name), str), (
+                f"{path}: {name} {run.get(name)!r}: {run}")
+        threads = run.get("threads")
+        assert isinstance(threads, int) and threads >= 1, (
+            f"{path}: threads {threads!r}: {run}")
+        assert isinstance(run.get("config"), dict), (
+            f"{path}: config {run.get('config')!r}: {run}")
+        ops = run.get("ops_per_sec")
         assert ops is not None and ops > 0, f"{path}: ops_per_sec {ops}: {run}"
         batch = run_batch(run)
         assert isinstance(batch, int) and batch >= 1, (

@@ -65,9 +65,6 @@ struct RenamerConfig {
   double size_factor = 2.0;
   // LevelArray only: c_i probes per batch. Empty = structure default.
   std::vector<std::uint8_t> probes_per_batch;
-  // Which probe RNG the driver should instantiate (carried alongside the
-  // structural knobs so one config describes a full run point).
-  rng::RngKind rng_kind = rng::RngKind::kMarsaglia;
   // IdIndexedArray only: the id space is id_space_factor * capacity —
   // deliberately larger than L, which is footnote 1's trade (trivial Get,
   // Theta(N) Collect and memory).
@@ -288,26 +285,10 @@ struct has_batch_occupancy<
 template <typename T>
 inline constexpr bool has_batch_occupancy_v = has_batch_occupancy<T>::value;
 
-// Optional bad-state construction surface: force slots of one batch into
-// the held state (LevelArray's seed_batch_occupancy). The stress driver
-// uses it to rebuild Fig. 3's overcrowded initial distribution before its
-// healing-window check.
-template <typename T, typename = void>
-struct has_seed_batch_occupancy : std::false_type {};
-
-template <typename T>
-struct has_seed_batch_occupancy<
-    T, std::void_t<decltype(std::declval<T&>().seed_batch_occupancy(
-           std::uint32_t{}, std::uint64_t{}))>> : std::true_type {};
-
-template <typename T>
-inline constexpr bool has_seed_batch_occupancy_v =
-    has_seed_batch_occupancy<T>::value;
-
 // Optional geometry surface: the batch partition behind batch_occupancy()
-// (LevelArray's Geometry). Harnesses need it to turn occupancy counts
-// into fill ratios — the stress driver's healing verdict and
-// fig3_healing's per-batch columns both gate on it.
+// (LevelArray's Geometry), which turns occupancy counts into fill
+// ratios. The registry asserts the sharded wrapper does not expose it,
+// and perfbench's timing wrapper must forward it.
 template <typename T, typename = void>
 struct has_geometry : std::false_type {};
 

@@ -39,7 +39,6 @@ api::RenamerConfig renamer_config(const SweepPoint& point) {
   config.capacity = point.driver.emulated_registrants();
   config.size_factor = point.size_factor;
   config.probes_per_batch = point.probes_per_batch;
-  config.rng_kind = point.driver.rng_kind;
   config.shards = point.shards;
   config.name_cache_capacity = point.name_cache_capacity;
   return config;
@@ -47,7 +46,11 @@ api::RenamerConfig renamer_config(const SweepPoint& point) {
 
 RunResult run_algo(const std::string& name_or_alias, const SweepPoint& point) {
   return api::visit(name_or_alias, renamer_config(point), [&](auto& array) {
-    return detail::drive_with_rng(array, point.driver);
+    return api::with_rng(point.driver.rng_kind, [&](auto tag) {
+      using Rng = typename decltype(tag)::type;
+      return detail::drive<std::decay_t<decltype(array)>, Rng>(array,
+                                                               point.driver);
+    });
   });
 }
 

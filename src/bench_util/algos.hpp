@@ -212,25 +212,6 @@ RunResult drive(Array& array, const DriverConfig& d) {
   return result;
 }
 
-template <typename Array>
-RunResult drive_with_rng(Array& array, const DriverConfig& d) {
-  return api::with_rng(d.rng_kind, [&](auto tag) {
-    using Rng = typename decltype(tag)::type;
-    return drive<Array, Rng>(array, d);
-  });
-}
-
 }  // namespace detail
-
-// Same workload against a caller-owned persistent structure (longrun
-// accumulates worst-case stats across chunks this way), honoring
-// driver.rng_kind. Generic over the Renamer contract — any registered
-// structure (not just the LevelArray) churns under the same driver.
-template <typename Structure>
-RunResult run_churn(Structure& array, const DriverConfig& driver) {
-  static_assert(api::is_renamer_v<Structure>,
-                "run_churn drives the api::Renamer contract");
-  return detail::drive_with_rng(array, driver);
-}
 
 }  // namespace la::bench

@@ -834,7 +834,7 @@ class ShardedRenamer {
 
   // Thread-exit hook: flush the exiting thread's bins and recycle its
   // slot for the next thread (long-lived structures see generations of
-  // short-lived threads — see run_churn's chunked callers).
+  // short-lived threads).
   static void flush_thunk(void* owner, std::uint32_t slot) {
     auto* self = static_cast<ShardedRenamer*>(owner);
     detail::CacheSlot& cache = *self->caches_[slot];

@@ -12,6 +12,8 @@
 #include "api/renamer.hpp"
 #include "bench_util/churn.hpp"
 #include "bench_util/workload.hpp"
+#include "core/level_array.hpp"
+#include "rng/rng.hpp"
 #include "sim/metrics.hpp"
 #include "sync/cache.hpp"
 #include "sync/futex.hpp"
@@ -195,14 +197,14 @@ void run_joinleave_worker(ChurnT& churn, EpochClock& clock, ThreadState& st,
 
 // --- healing window -----------------------------------------------------
 
-// For structures with the batch-occupancy surface: rebuild Fig. 3's bad
-// state (deep batch 1 forced to its overcrowding threshold) on top of
-// whatever the run left, churn at half the contention bound, and require
-// every deep batch to end below kMaxDeepBatchFill. Runs single-threaded
-// on the reaper id; everything is logged, so the checker covers this
-// phase too. Returns the phase's peak concurrent holds.
-template <typename Array, typename ChurnT>
-std::uint64_t run_healing_window(Array& array, ChurnT& churn,
+// LevelArray only: rebuild Fig. 3's bad state (deep batch 1 forced to
+// its overcrowding threshold) on top of whatever the run left, churn at
+// half the contention bound, and require every deep batch to end below
+// kMaxDeepBatchFill. Runs single-threaded on the reaper id; everything
+// is logged, so the checker covers this phase too. Returns the phase's
+// peak concurrent holds.
+template <typename ChurnT>
+std::uint64_t run_healing_window(core::LevelArray& array, ChurnT& churn,
                                  std::vector<std::uint64_t>& pool,
                                  EventRecorder& recorder,
                                  const StressConfig& cfg,
@@ -220,17 +222,15 @@ std::uint64_t run_healing_window(Array& array, ChurnT& churn,
 
   // Fig. 3's bad state: batch 1 forced up to its Definition 2 threshold.
   std::uint64_t seeded = 0;
-  if constexpr (api::has_seed_batch_occupancy_v<Array>) {
-    if (array.batch_occupancy().size() > 1) {
-      const auto names = array.seed_batch_occupancy(
-          1, sim::overcrowding_threshold(1, array.capacity()));
-      for (const auto name : names) {
-        // seed_batch_occupancy acquires directly; mirror it in the log.
-        recorder.after_get(name);
-        pool.push_back(name);
-      }
-      seeded = names.size();
+  if (array.batch_occupancy().size() > 1) {
+    const auto names = array.seed_batch_occupancy(
+        1, sim::overcrowding_threshold(1, array.capacity()));
+    for (const auto name : names) {
+      // seed_batch_occupancy acquires directly; mirror it in the log.
+      recorder.after_get(name);
+      pool.push_back(name);
     }
+    seeded = names.size();
   }
 
   // Churn back down to the healing load, then keep churning — the
@@ -243,29 +243,30 @@ std::uint64_t run_healing_window(Array& array, ChurnT& churn,
   }
 
   // Verdict: every deep batch with enough slots to matter must end
-  // bounded away from full. Without geometry there are no batch sizes to
-  // compare against, so only the occupancy snapshot is reported.
+  // bounded away from full.
   const auto occupancy = array.batch_occupancy();
   double max_fill = 0.0;
-  if constexpr (api::has_geometry_v<Array>) {
-    for (std::size_t k = 1; k < occupancy.size(); ++k) {
-      const auto size =
-          array.geometry().batch(static_cast<std::uint32_t>(k)).size();
-      if (size < kMinCheckedBatchSlots) continue;
-      const double fill =
-          static_cast<double>(occupancy[k]) / static_cast<double>(size);
-      if (fill > max_fill) max_fill = fill;
-    }
-    report.balance_checked = true;
-    report.heal_max_deep_fill = max_fill;
-    report.balanced = max_fill <= kMaxDeepBatchFill;
+  for (std::size_t k = 1; k < occupancy.size(); ++k) {
+    const auto size =
+        array.geometry().batch(static_cast<std::uint32_t>(k)).size();
+    if (size < kMinCheckedBatchSlots) continue;
+    const double fill =
+        static_cast<double>(occupancy[k]) / static_cast<double>(size);
+    if (fill > max_fill) max_fill = fill;
   }
+  report.balance_checked = true;
+  report.heal_max_deep_fill = max_fill;
+  report.balanced = max_fill <= kMaxDeepBatchFill;
   return heal_load + seeded;
 }
 
 // --- the driver ---------------------------------------------------------
 
-template <typename Array, typename Rng>
+// Every stress run probes with Marsaglia's xorshift; the RNG ablation
+// (paper §6) is a sweep axis, not a stress one.
+using Rng = rng::MarsagliaXorshift;
+
+template <typename Array>
 StressReport drive(Array& array, const StressConfig& cfg) {
   const std::uint32_t threads = cfg.threads == 0 ? 1 : cfg.threads;
   const std::uint64_t n = cfg.effective_capacity();
@@ -388,7 +389,7 @@ StressReport drive(Array& array, const StressConfig& cfg) {
   bench::Churn<Array, Rng, EventRecorder> reaper_churn(
       array, reaper_rng, reaper.counters, pool, 1, recorder);
   std::uint64_t heal_peak = 0;
-  if constexpr (api::has_batch_occupancy_v<Array>) {
+  if constexpr (std::is_same_v<Array, core::LevelArray>) {
     if (driver_errors.empty()) {
       heal_peak = run_healing_window(array, reaper_churn, pool, recorder, cfg,
                                      report);
@@ -444,13 +445,8 @@ StressReport drive(Array& array, const StressConfig& cfg) {
 StressReport run_stress(const StressConfig& cfg) {
   api::RenamerConfig rc;
   rc.capacity = cfg.effective_capacity();
-  rc.rng_kind = cfg.rng_kind;
-  return api::visit(cfg.structure, rc, [&](auto& array) {
-    return api::with_rng(cfg.rng_kind, [&](auto tag) {
-      using Rng = typename decltype(tag)::type;
-      return drive<std::decay_t<decltype(array)>, Rng>(array, cfg);
-    });
-  });
+  return api::visit(cfg.structure, rc,
+                    [&](auto& array) { return drive(array, cfg); });
 }
 
 }  // namespace la::stress

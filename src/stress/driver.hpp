@@ -1,11 +1,11 @@
 // The real-thread stress driver: runs any api::registry structure through
 // one scenario of the matrix (see scenario.hpp) with every Get/Free
 // recorded in per-thread event logs, then replays the merged trace
-// through the invariant checker. For structures exposing the
-// batch-occupancy surface it additionally runs a logged healing window —
-// seed a deep batch into the paper's Fig. 3 bad state, churn, and assert
-// the deep batches end bounded — so the self-healing claim is checked,
-// not just benchmarked.
+// through the invariant checker. Every run probes with Marsaglia's
+// xorshift. For the LevelArray it additionally runs a logged healing
+// window — seed a deep batch into the paper's Fig. 3 bad state, churn,
+// and assert the deep batches end bounded — so the self-healing claim is
+// checked, not just benchmarked.
 //
 // A report with report.ok() == true certifies, for that run: unique names
 // while held, all names in range, Free-before-Get ordering per name,
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string>
 
-#include "rng/rng.hpp"
 #include "stats/summary.hpp"
 #include "stress/invariants.hpp"
 #include "stress/scenario.hpp"
@@ -34,8 +33,7 @@ struct StressConfig {
   // Contention bound n for the structure; 0 derives max(256, 32*threads).
   std::uint64_t capacity = 0;
   std::uint64_t seed = 42;
-  rng::RngKind rng_kind = rng::RngKind::kMarsaglia;
-  // Healing-window churn iterations (batch-occupancy structures only);
+  // Healing-window churn iterations (LevelArray only);
   // 0 derives 4 * capacity. Negative scenarios aside, the window always
   // churns at half the contention bound, mirroring fig3_healing.
   std::uint64_t heal_ops = 0;
@@ -72,7 +70,7 @@ struct StressReport {
   std::uint64_t timed_gets = 0;
   std::uint64_t timeouts = 0;
   double elapsed_seconds = 0.0;  // slowest worker, barrier to loop end
-  // Healing window (batch-occupancy structures only).
+  // Healing window (LevelArray only).
   bool balance_checked = false;
   bool balanced = true;  // deep batches bounded after the healing window
   double heal_max_deep_fill = 0.0;  // final-snapshot max fill of deep batches

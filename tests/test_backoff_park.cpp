@@ -238,7 +238,9 @@ void check_oversubscribed_churn_completes() {
   driver.ops_per_thread = 0;
   driver.seconds = 0.25;
   driver.batch = 8;
-  const la::bench::RunResult result = la::bench::run_churn(array, driver);
+  const la::bench::RunResult result =
+      la::bench::detail::drive<Sharded, la::rng::MarsagliaXorshift>(array,
+                                                                    driver);
   CHECK(result.total_ops > 0);
   // The refusal traffic must be visible in the wait accounting (the
   // structure's own gate rounds, via api::WaitStats).

@@ -15,7 +15,6 @@
 
 #include "api/registry.hpp"
 #include "bench_util/algos.hpp"
-#include "core/level_array.hpp"
 #include "rng/rng.hpp"
 #include "stress/driver.hpp"
 #include "stress/scenario.hpp"
@@ -120,7 +119,8 @@ int main() {
       CHECK(same_trials(a, b));
     }
     // Seed actually reaches the probe streams: a different seed must move
-    // the exact trial histogram. Only the structures whose histograms
+    // the exact trial histogram (longrun_stability's per-chunk seeds rely
+    // on it). Only the structures whose histograms
     // carry real entropy at this load participate — `id` runs at 1/16
     // load where nearly every Get is one probe, so two seeds can
     // plausibly produce identical histograms; it shares drive()'s seed
@@ -148,29 +148,6 @@ int main() {
           idle, [&] { return bench::run_algo(algo, point); });
       CHECK(same_trials(a, b));
     }
-  }
-
-  // run_churn against a caller-owned persistent array: deterministic for
-  // a fresh array + same seed, and chunk seeds must not replay (the
-  // longrun bench varies seed per chunk for exactly this reason).
-  {
-    current = "run_churn";
-    const auto run_once = [](std::uint64_t seed) {
-      core::LevelArrayConfig config;
-      config.capacity = 256;
-      core::LevelArray array(config);
-      bench::DriverConfig driver;
-      driver.threads = 1;
-      driver.emulation_multiplier = 256;
-      driver.ops_per_thread = 4096;
-      driver.seed = seed;
-      return bench::run_churn(array, driver);
-    };
-    const auto a = run_once(7);
-    const auto b = run_once(7);
-    const auto c = run_once(8);
-    CHECK(same_trials(a, b));
-    CHECK(!same_trials(a, c));
   }
 
   // run_stress at one thread: no interleaving left to vary, so the seed

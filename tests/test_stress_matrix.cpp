@@ -124,9 +124,17 @@ int main() {
       cfg.ops_per_thread = 1500;
       cfg.capacity = 128;
       cfg.seed = 20260727;
-      expect_ok(stress::run_stress(cfg),
-                cfg.structure + "/" +
-                    std::string(stress::scenario_name(scenario)));
+      const std::string where =
+          cfg.structure + "/" + std::string(stress::scenario_name(scenario));
+      const auto report = stress::run_stress(cfg);
+      expect_ok(report, where);
+      // The healing window runs on the LevelArray and nowhere else: a
+      // gate that stops matching it would drop the check silently.
+      if (report.balance_checked != (cfg.structure == "level")) {
+        ++failures;
+        std::fprintf(stderr, "FAIL [%s] balance_checked is %s\n",
+                     where.c_str(), report.balance_checked ? "set" : "unset");
+      }
     }
   }
 
