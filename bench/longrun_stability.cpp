@@ -9,6 +9,13 @@
 // paper's 1e9 (minutes to hours depending on the host). The bench reports
 // the probe-count histogram and running worst case at checkpoints, so the
 // stability over time — not just the final number — is visible.
+//
+// This harness does not reproduce the paper's two numbers: on a 4-core
+// host it measures avg ~1.3 and worst 4 (emulated registrants, not 80
+// hardware threads contending). The final table prints the paper's value
+// next to the measured one and marks each row `diverges` unless the
+// measurement lands within 10% of the paper's.
+#include <cmath>
 #include <iostream>
 
 #include "bench_util/algos.hpp"
@@ -43,6 +50,10 @@ int main(int argc, char** argv) {
   const auto structure =
       bench::parse_algo(opts.get_string("structure", "level"));
   const auto threads = static_cast<std::uint32_t>(opts.get_uint("threads", 8));
+  if (threads == 0) {
+    std::cerr << "longrun_stability: --threads must be >= 1\n";
+    return 1;
+  }
   const auto total_ops = opts.get_uint("ops", 20'000'000);
   const auto checkpoints = std::max<std::uint64_t>(opts.get_uint("checkpoints", 10), 1);
   const auto mult = opts.get_uint("mult", 1000);
@@ -51,7 +62,7 @@ int main(int argc, char** argv) {
 
   std::cout << "# Long-run stability: " << bench::algo_name(structure) << ", "
             << threads << " threads, " << total_ops
-            << " total ops (paper: 1e9+ ops, max 6 probes, avg ~1.75)\n";
+            << " total ops\n";
 
   stats::Table table({"ops_so_far", "avg_trials", "stddev", "worst_so_far",
                       "p999", "backup_gets"});
@@ -105,6 +116,20 @@ int main(int argc, char** argv) {
     if (h.at(v) != 0) histogram.add_row({v, h.at(v)});
   }
   histogram.print(std::cout);
+
+  std::cout << "\n# paper §6 (80 threads, ~1e9 ops) vs this run\n";
+  const auto status = [](double paper, double measured) {
+    return std::string(std::abs(measured - paper) <= 0.1 * paper
+                           ? "reproduces"
+                           : "diverges");
+  };
+  const double worst = static_cast<double>(cumulative.worst_case());
+  stats::Table claims({"metric", "paper", "measured", "status"});
+  claims.add_row({std::string("avg_trials"), 1.75, cumulative.average(),
+                  status(1.75, cumulative.average())});
+  claims.add_row({std::string("worst_trials"), 6.0, worst,
+                  status(6.0, worst)});
+  claims.print(std::cout);
 
   for (const auto& key : opts.unused_keys()) {
     std::cerr << "warning: unused flag --" << key << "\n";

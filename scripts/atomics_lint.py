@@ -111,8 +111,12 @@ def enclosing_symbols(lines):
         m = None if in_inits else FUNC_RE.match(code)
         if m and brace_depth <= 2:  # file scope or inside a class body
             name = m.group(1) or m.group(2)
+            # Keywords that take parentheses; decltype also opens the
+            # continuation line of a trailing return type, which must not
+            # replace the function it belongs to.
             if name and name not in ("if", "for", "while", "switch", "return",
-                                     "sizeof", "catch", "static_assert"):
+                                     "sizeof", "catch", "static_assert",
+                                     "decltype"):
                 pending = name
         if "{" in code and pending is not None:
             current = pending
@@ -318,9 +322,25 @@ def self_test():
     assert [(s.symbol, s.op) for s in ctor_sites] == [("Node", "store")], (
         ctor_sites)
 
+    # A trailing return type wrapped onto a `decltype(...)` line is filed
+    # under the function it belongs to, not under `decltype`.
+    trailing = (
+        "struct Pool {\n"
+        "  template <typename I = Inner>\n"
+        "  auto adopt_held(int name) -> std::void_t<\n"
+        "      decltype(std::declval<I&>().adopt_held(0))> {\n"
+        "    count_.fetch_add(1, std::memory_order_relaxed);\n"
+        "  }\n"
+        "};\n"
+    )
+    trailing_sites = extract_file(fake, trailing)
+    assert [(s.symbol, s.op) for s in trailing_sites] == [
+        ("adopt_held", "fetch_add")], trailing_sites
+
     print("self-test OK: clean tree passes, acquire->relaxed downgrade "
           "fails, ignore marker suppresses, constructor bodies file under "
-          "the constructor")
+          "the constructor, trailing return types file under their "
+          "function")
 
 
 def main():

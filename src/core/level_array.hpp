@@ -3,8 +3,11 @@
 // into doubly-exponentially shrinking batches. Get performs c_i random
 // probes in batch i before moving on; names are slot indices; Free is a
 // single release. If every batch's probes fail (rare by construction) a
-// deterministic backup sweep guarantees termination, since at most n of
-// the L = 2n slots can be held.
+// backup sweep guarantees termination, since at most n of the L = 2n
+// slots can be held: it word-scans batch 0 from a uniformly random slot,
+// wraps within batch 0, and only then reads the deeper batches. Starting
+// anywhere but slot 0 matters at high load — a first-fit sweep packs the
+// front of batch 0 solid and every later backup rescans that prefix.
 //
 // The structure is "self-healing": started from any bad occupancy
 // distribution, steady-state churn drains overcrowded deep batches back
@@ -68,20 +71,14 @@ class LevelArray : public SlotArray {
           }
         }
       }
-      // Backup: deterministic first-fit sweep, word-scanning to the next
-      // clear slot instead of testing one byte at a time. With at most
-      // n = capacity names held out of L >= 2n slots this always finds
-      // one; the loop re-enters the randomized phase only under
-      // transient races.
+      // Backup: with at most n = capacity names held out of L >= 2n
+      // slots the sweep always finds one; the loop re-enters the
+      // randomized phase only under transient races.
       result.used_backup = true;
-      for (std::uint64_t slot = 0; slot < slots_.size(); ++slot) {
-        slot += slot_scan::find_first_clear(slots_.data() + slot,
-                                            slots_.size() - slot);
-        if (slot >= slots_.size()) break;
-        if (slots_[slot].try_acquire()) {
-          result.name = slot;
-          return result;
-        }
+      if (backup_sweep(rng, 1, [&](std::uint64_t slot) {
+            result.name = slot;
+          }) != 0) {
+        return result;
       }
     }
   }
@@ -131,16 +128,14 @@ class LevelArray : public SlotArray {
       // instead of one walk's budget being split across the whole batch
       // (which would shunt large batches into the Theta(L) backup).
       if (granted > before) continue;
-      // Backup, batch form: a full walk came up empty, so one word-scan
-      // sweep claims the remainder (at most n of L >= 2n slots are held,
-      // so it can only come up short under transient races — then the
-      // loop re-randomizes).
+      // Backup, batch form: a full walk came up empty, so one sweep
+      // claims the remainder (at most n of L >= 2n slots are held, so it
+      // can only come up short under transient races — then the loop
+      // re-randomizes).
       ++draws;
-      slot_scan::claim_clear(
-          slots_.data(), 0, slots_.size(), slots_.size(), k - granted,
-          [&](std::uint64_t claimed) {
-            emit(claimed, geometry_.num_batches() - 1, true);
-          });
+      backup_sweep(rng, k - granted, [&](std::uint64_t claimed) {
+        emit(claimed, geometry_.num_batches() - 1, true);
+      });
     }
     return k;
   }
@@ -218,6 +213,30 @@ class LevelArray : public SlotArray {
   }
 
  private:
+  // The backup sweep behind get() and get_batch(): claims up to `want`
+  // clear slots, calling fn(slot) per claim, and returns how many. It
+  // word-scans batch 0 from a uniformly random start to its end, wraps
+  // to scan [batch 0 start, start), and reads the deeper batches only if
+  // batch 0 came up short — which needs batch 0 full, possible only when
+  // size_multiplier is so close to 1 that 3L/4 < n. Backups stay in
+  // batch 0 so they do not crowd the deep batches the walk relies on.
+  template <typename Rng, typename Fn>
+  std::size_t backup_sweep(Rng& rng, std::size_t want, Fn&& fn) {
+    const Batch& first = geometry_.batch(0);
+    const std::uint64_t start =
+        first.offset() + rng::bounded(rng, first.size());
+    const std::uint64_t ranges[3][2] = {{start, first.end()},
+                                        {first.offset(), start},
+                                        {first.end(), slots_.size()}};
+    std::size_t claimed = 0;
+    for (const auto& range : ranges) {
+      if (claimed == want) break;
+      claimed += slot_scan::claim_clear(slots_.data(), range[0], range[1],
+                                        slots_.size(), want - claimed, fn);
+    }
+    return claimed;
+  }
+
   LevelArrayConfig config_;
   Geometry geometry_;
 };

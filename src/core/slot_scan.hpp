@@ -15,10 +15,12 @@
 // per-byte atomic loads so instrumentation sees the same access pattern
 // it can reason about; the plain-memory fast path is for real builds.
 //
-// Three primitives over a dense TasCell range, plus per-byte reference
-// implementations (the ablation baseline for collect_cost --scan=byte and
-// the oracle for the parity tests), plus the bit-domain sibling the
-// BitmapActivityArray's packed-word layout scans with.
+// Two scans over a dense TasCell range (count_held, for_each_held) and
+// the claimer behind the batch Gets and the LevelArray backup sweep
+// (claim_clear), plus per-byte reference scans (the ablation baseline for
+// collect_cost --scan=byte and the oracle for the parity tests), plus the
+// bit-domain sibling the BitmapActivityArray's packed-word layout scans
+// with.
 #pragma once
 
 #include <atomic>
@@ -113,15 +115,6 @@ void for_each_held_bytewise(const sync::TasCell* cells, std::uint64_t n,
   }
 }
 
-// Index of the first clear slot, or n if every slot is held.
-inline std::uint64_t find_first_clear_bytewise(const sync::TasCell* cells,
-                                               std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!cells[i].held()) return i;
-  }
-  return n;
-}
-
 // --- word engine --------------------------------------------------------
 
 inline std::uint64_t count_held(const sync::TasCell* cells, std::uint64_t n) {
@@ -155,23 +148,6 @@ void for_each_held(const sync::TasCell* cells, std::uint64_t n, Fn&& fn) {
   }
 }
 
-// Index of the first clear slot, or n if every slot is held.
-inline std::uint64_t find_first_clear(const sync::TasCell* cells,
-                                      std::uint64_t n) {
-  std::uint64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t mask =
-        detail::clear_mask(detail::load_word(cells, i));
-    if (mask != 0) {
-      return i + (static_cast<std::uint64_t>(__builtin_ctzll(mask)) >> 3);
-    }
-  }
-  for (; i < n; ++i) {
-    if (!cells[i].held()) return i;
-  }
-  return n;
-}
-
 // --- multi-claim engine -------------------------------------------------
 
 // Snapshot held-mask of the 8 slots at cells[base..base+8): 0x80 at each
@@ -192,7 +168,8 @@ inline std::uint64_t held_lanes(const sync::TasCell* cells,
 // per-byte), and lanes past `end` are masked off so a window clipped at
 // a batch boundary never claims a neighbor's slot. A lane that flips
 // held between the snapshot and the TAS is simply skipped: the mask is a
-// hint, the TAS is the claim.
+// hint, the TAS is the claim. With want = 1 it is a word scan to the
+// first clear slot it wins — the LevelArray backup sweep.
 template <typename Fn>
 std::size_t claim_clear(sync::TasCell* cells, std::uint64_t begin,
                         std::uint64_t end, std::uint64_t n, std::size_t want,

@@ -16,7 +16,8 @@ struct GetResult {
   // column. Scan-based structures count every slot inspected.
   std::uint32_t probes = 0;
   std::uint32_t deepest_batch = 0; // deepest LevelArray batch probed (0 else)
-  bool used_backup = false;        // fell through to the deterministic sweep
+  bool used_backup = false;        // the walk missed: fell through to the
+                                   // backup sweep (random start in batch 0)
 };
 
 }  // namespace la

@@ -3,9 +3,10 @@
 // matrix hits this only incidentally (collect() runs at quiescence
 // there); this test pins a scanner thread on collect()/batch_occupancy
 // the whole time churn workers run the structure at the edge of its
-// contention bound — where Gets fall through to the deterministic backup
-// sweep and deep batches sit near full, i.e. where slot_scan's 8-slots-
-// per-load reads overlap the most writes.
+// contention bound — where Gets fall through to the backup sweep (a
+// word scan of batch 0 from a random start) and deep batches sit near
+// full, i.e. where slot_scan's 8-slots-per-load reads overlap the most
+// writes.
 //
 // A second section runs the same shape against the sharded scale layer,
 // where a concurrent collect() additionally *drains* the other threads'

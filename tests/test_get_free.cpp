@@ -110,6 +110,127 @@ int main() {
     for (const auto name : held) array.free(name);
   }
 
+  // --- backup sweep: batch 0 first, then the deeper batches ----------
+  // Every slot is held except a chosen few, so the one-probe walk nearly
+  // always misses and Gets reach the backup sweep. Names are taken one
+  // at a time (get) or four at a time (get_batch) until the chosen slots
+  // run out; each backup name must come from batch 0 while batch 0 still
+  // has a clear slot, and from the chosen set always.
+  {
+    const auto drain_chosen = [](double multiplier,
+                                 std::vector<std::uint64_t> chosen,
+                                 bool batched) {
+      core::LevelArrayConfig config;
+      config.capacity = 1000;
+      config.size_multiplier = multiplier;
+      core::LevelArray array(config);
+      rng::MarsagliaXorshift rng(31);
+      const std::uint64_t batch0_end = array.geometry().batch(0).end();
+      std::set<std::uint64_t> clear(chosen.begin(), chosen.end());
+      for (std::uint64_t s = 0; s < array.total_slots(); ++s) {
+        if (clear.count(s) == 0) array.adopt_held(s);
+      }
+      std::uint64_t backups = 0;
+      while (!clear.empty()) {
+        GetResult results[4];
+        const std::size_t k =
+            batched ? std::min<std::size_t>(4, clear.size()) : 1;
+        if (batched) {
+          CHECK(array.get_batch(rng, results, k) == k);
+        } else {
+          results[0] = array.get(rng);
+        }
+        for (std::size_t i = 0; i < k; ++i) {
+          const bool batch0_has_clear = *clear.begin() < batch0_end;
+          CHECK(clear.erase(results[i].name) == 1);
+          if (!results[i].used_backup) continue;
+          ++backups;
+          if (batch0_has_clear) CHECK(results[i].name < batch0_end);
+        }
+      }
+      CHECK(backups > 0);
+      std::vector<std::uint64_t> collected;
+      CHECK(array.collect(collected) == array.total_slots());
+    };
+    // L = 2000, batch 0 = [0, 1500): clear slots spread over batch 0 and
+    // the deeper batches.
+    const std::vector<std::uint64_t> mixed = {3,    200,  700,  1100, 1499,
+                                              1500, 1700, 1900, 1999};
+    drain_chosen(2.0, mixed, false);
+    drain_chosen(2.0, mixed, true);
+    // size_multiplier just above 1: L = 1010, batch 0 = [0, 758) holds
+    // fewer than n = 1000 slots and is full here, so Get stays total only
+    // because the sweep goes on into the deeper batches.
+    const std::vector<std::uint64_t> deep = {758, 900, 1000, 1009};
+    drain_chosen(1.01, deep, false);
+    drain_chosen(1.01, deep, true);
+  }
+
+  // --- backup names spread across batch 0 ----------------------------
+  // A first-fit sweep from slot 0 puts every backup name at the front of
+  // batch 0 (a packed prefix each later backup rescans); the random-start
+  // sweep spreads them, so the upper half of batch 0 must receive a fair
+  // share — about half, where first-fit gives it none.
+  {
+    core::LevelArrayConfig config;
+    config.capacity = 1024;  // L = 2048, batch 0 = [0, 1536)
+    const std::uint64_t upper_begin = 1536 / 2;
+
+    // get: churn at 0.9 n with c_i = {1}, where about one Get in eight
+    // misses every batch.
+    {
+      core::LevelArray array(config);
+      rng::MarsagliaXorshift rng(2024);
+      CHECK(array.geometry().batch(0).end() == 1536);
+      std::vector<std::uint64_t> held;
+      while (held.size() < config.capacity * 9 / 10) {
+        held.push_back(array.get(rng).name);
+      }
+      std::uint64_t backups = 0;
+      std::uint64_t upper = 0;
+      for (int op = 0; op < 5000; ++op) {
+        const std::size_t j = rng::bounded(rng, held.size());
+        array.free(held[j]);
+        const auto r = array.get(rng);
+        held[j] = r.name;
+        if (!r.used_backup) continue;
+        ++backups;
+        CHECK(r.name < 1536);
+        if (r.name >= upper_begin) ++upper;
+      }
+      CHECK(backups >= 300);
+      CHECK(4 * upper >= backups);
+      for (const auto name : held) array.free(name);
+    }
+
+    // get_batch: its walk claims whole 8-slot windows, so at 0.9 load it
+    // almost never backs up. Hold every slot but every 32nd of batch 0
+    // instead, take two names and give them back, many times over.
+    {
+      core::LevelArray array(config);
+      rng::MarsagliaXorshift rng(2024);
+      for (std::uint64_t s = 0; s < array.total_slots(); ++s) {
+        if (s >= 1536 || s % 32 != 0) array.adopt_held(s);
+      }
+      std::uint64_t backups = 0;
+      std::uint64_t upper = 0;
+      for (int round = 0; round < 1000; ++round) {
+        GetResult results[2];
+        CHECK(array.get_batch(rng, results, 2) == 2);
+        for (const auto& r : results) {
+          CHECK(r.name < 1536 && r.name % 32 == 0);
+          if (r.used_backup) {
+            ++backups;
+            if (r.name >= upper_begin) ++upper;
+          }
+        }
+        for (const auto& r : results) array.free(r.name);
+      }
+      CHECK(backups >= 300);
+      CHECK(4 * upper >= backups);
+    }
+  }
+
   // --- seed_batch_occupancy builds exact bad states -------------------
   {
     core::LevelArrayConfig config;

@@ -26,10 +26,9 @@ int failures = 0;
     }                                                                   \
   } while (0)
 
+using la::core::slot_scan::claim_clear;
 using la::core::slot_scan::count_held;
 using la::core::slot_scan::count_held_bytewise;
-using la::core::slot_scan::find_first_clear;
-using la::core::slot_scan::find_first_clear_bytewise;
 using la::core::slot_scan::for_each_held;
 using la::core::slot_scan::for_each_held_bytewise;
 
@@ -47,20 +46,43 @@ std::vector<std::uint64_t> collect_byte(const la::sync::TasCell* cells,
   return out;
 }
 
+// claim_clear with want = 1, the backup sweep's call: the slot it
+// claims in [begin, end), or end if it claims none. The claim is undone
+// so the pattern survives for the next range.
+std::uint64_t first_claim(std::vector<la::sync::TasCell>& cells,
+                          std::uint64_t begin, std::uint64_t end) {
+  std::uint64_t got = end;
+  const std::size_t claimed =
+      claim_clear(cells.data(), begin, end, cells.size(), 1,
+                  [&](std::uint64_t slot) { got = slot; });
+  CHECK(claimed == (got < end ? 1u : 0u));
+  if (got < end) cells[got].release();
+  return got;
+}
+
+// Per-byte reference for first_claim.
+std::uint64_t first_clear_byte(const std::vector<la::sync::TasCell>& cells,
+                               std::uint64_t begin, std::uint64_t end) {
+  while (begin < end && cells[begin].held()) ++begin;
+  return begin;
+}
+
 // Word vs byte on one concrete occupancy pattern.
-void check_parity(const std::vector<la::sync::TasCell>& cells) {
+void check_parity(std::vector<la::sync::TasCell>& cells) {
   const auto n = static_cast<std::uint64_t>(cells.size());
   CHECK(count_held(cells.data(), n) == count_held_bytewise(cells.data(), n));
   CHECK(collect_word(cells.data(), n) == collect_byte(cells.data(), n));
-  CHECK(find_first_clear(cells.data(), n) ==
-        find_first_clear_bytewise(cells.data(), n));
-  // Suffix scans exercise every word-phase of the same pattern (the
-  // engine takes unaligned base pointers).
-  for (std::uint64_t start = 1; start < n && start <= 9; ++start) {
-    CHECK(count_held(cells.data() + start, n - start) ==
-          count_held_bytewise(cells.data() + start, n - start));
-    CHECK(find_first_clear(cells.data() + start, n - start) ==
-          find_first_clear_bytewise(cells.data() + start, n - start));
+  // Unaligned starts exercise every word-phase of the same pattern; the
+  // midpoint ends clip a claim window inside a word.
+  for (std::uint64_t start = 0; start < n && start <= 9; ++start) {
+    if (start > 0) {
+      CHECK(count_held(cells.data() + start, n - start) ==
+            count_held_bytewise(cells.data() + start, n - start));
+    }
+    for (const std::uint64_t end : {n, (start + n) / 2}) {
+      CHECK(first_claim(cells, start, end) ==
+            first_clear_byte(cells, start, end));
+    }
   }
 }
 
@@ -78,14 +100,14 @@ int main() {
       std::vector<sync::TasCell> all_clear(n);
       CHECK(count_held(all_clear.data(), n) == 0);
       CHECK(collect_word(all_clear.data(), n).empty());
-      CHECK(find_first_clear(all_clear.data(), n) == 0);
+      CHECK(first_claim(all_clear, 0, n) == 0);
       check_parity(all_clear);
     }
     {
       std::vector<sync::TasCell> all_held(n);
       for (auto& cell : all_held) CHECK(cell.try_acquire());
       CHECK(count_held(all_held.data(), n) == n);
-      CHECK(find_first_clear(all_held.data(), n) == n);  // none clear
+      CHECK(first_claim(all_held, 0, n) == n);  // none clear
       const auto names = collect_word(all_held.data(), n);
       CHECK(names.size() == n);
       for (std::uint64_t i = 0; i < names.size(); ++i) {
@@ -104,7 +126,7 @@ int main() {
       CHECK(collect_word(one.data(), n) ==
             std::vector<std::uint64_t>{at});
       // With slot 0 held the first clear is 1 (== n when n is 1).
-      CHECK(find_first_clear(one.data(), n) == (at == 0 ? 1 : 0));
+      CHECK(first_claim(one, 0, n) == (at == 0 ? 1 : 0));
       check_parity(one);
     }
     // All held except one clear slot — the backup sweep's target shape.
@@ -114,7 +136,7 @@ int main() {
       for (std::uint64_t i = 0; i < n; ++i) {
         if (i != clear_at) CHECK(dense[i].try_acquire());
       }
-      CHECK(find_first_clear(dense.data(), n) == clear_at);
+      CHECK(first_claim(dense, 0, n) == clear_at);
       CHECK(count_held(dense.data(), n) == n - 1);
       check_parity(dense);
     }
