@@ -118,7 +118,7 @@ int main() {
   // has a clear slot, and from the chosen set always.
   {
     const auto drain_chosen = [](double multiplier,
-                                 std::vector<std::uint64_t> chosen,
+                                 const std::vector<std::uint64_t>& chosen,
                                  bool batched) {
       core::LevelArrayConfig config;
       config.capacity = 1000;
