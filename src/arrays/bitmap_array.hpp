@@ -57,13 +57,12 @@ class BitmapActivityArray {
   }
 
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    core::slot_scan::for_each_set_bit(words_.data(), words_.size(),
-                                      [&](std::uint64_t slot) {
-                                        out.push_back(slot);
-                                        ++found;
-                                      });
-    return found;
+    return core::slot_scan::collect_set_bits(
+        words_.size(), 0,
+        [&](std::uint64_t w) {
+          return words_[w].load(std::memory_order_relaxed);
+        },
+        out);
   }
 
   std::uint64_t total_slots() const { return total_slots_; }

@@ -49,12 +49,10 @@ class SlotArray {
   // Appends the names of all held slots to out, ascending; returns how
   // many were found. Theta(L) by design — the dense byte layout is what
   // makes this a sequential cache-friendly scan, and the word engine
-  // reads 8 slots per load (racy-snapshot semantics, see slot_scan.hpp).
+  // reads 8 slots per load and emits their names branch-free
+  // (racy-snapshot semantics, see slot_scan.hpp).
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    const std::size_t before = out.size();
-    slot_scan::for_each_held(slots_.data(), slots_.size(),
-                             [&](std::uint64_t slot) { out.push_back(slot); });
-    return out.size() - before;
+    return slot_scan::collect_held(slots_.data(), slots_.size(), out);
   }
 
   // Per-byte reference collect: same contract, one held() read per slot.

@@ -15,17 +15,30 @@
 // per-byte atomic loads so instrumentation sees the same access pattern
 // it can reason about; the plain-memory fast path is for real builds.
 //
-// Two scans over a dense TasCell range (count_held, for_each_held) and
-// the claimer behind the batch Gets and the LevelArray backup sweep
-// (claim_clear), plus per-byte reference scans (the ablation baseline for
-// collect_cost --scan=byte and the oracle for the parity tests), plus the
-// bit-domain sibling the BitmapActivityArray's packed-word layout scans
-// with.
+// Turning the masks into names is the other half of a Collect, and at
+// ~45% fill it used to cost far more than the scan: a ctz loop whose
+// trip count the branch predictor cannot guess, plus one push_back per
+// name. The name emitter replaces both. A word's held mask folds to an
+// 8-bit lane mask with one multiply, a constexpr 256-row table gives
+// that mask's lane offsets and count, and all 8 candidates are stored
+// unconditionally into a stack buffer that advances by the count — no
+// branch per name. Full buffers go to the output vector with one range
+// insert. collect_held runs it over dense bytes (every byte-slot
+// Collect); collect_set_bits runs the same table over each byte of
+// packed 64-bit words (the BitmapActivityArray and the daemon client's
+// bitmap-window decode).
+//
+// Also here: count_held, the claimer behind the batch Gets and the
+// LevelArray backup sweep (claim_clear), and per-byte reference scans
+// (the ablation baseline for collect_cost --scan=byte and the oracle for
+// the parity tests). No scan calls __builtin_popcount: the build targets
+// baseline x86-64, where that is a libgcc call, not an instruction.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "sync/tas_cell.hpp"
 
@@ -94,6 +107,69 @@ inline constexpr std::uint64_t clear_mask(std::uint64_t w) {
   return held_mask(w) ^ kHigh;
 }
 
+// A held_mask (0x80 per held lane) folded to 8 bits, lane k -> bit k.
+// After >> 7 each lane byte is 0 or 1; the multiply adds lane k's bit,
+// shifted by the constant's byte 7 - k, into bit 56 + k, and no two
+// partial products share a bit, so nothing carries into the top byte.
+inline constexpr unsigned lane_bits(std::uint64_t mask) {
+  return static_cast<unsigned>(((mask >> 7) * 0x0102040810204080ull) >> 56);
+}
+
+// How many lanes a held_mask marks: the multiply by kOnes sums the 0/1
+// lane bytes into the top byte (at most 8, so it cannot overflow).
+inline constexpr unsigned lane_count(std::uint64_t mask) {
+  return static_cast<unsigned>(((mask >> 7) * kOnes) >> 56);
+}
+
+// The emitter table. Row m holds the set-bit positions of m, ascending,
+// padded with zeros to 8, and count[m] how many there are. The offsets
+// are stored as 64-bit words, a cache line per row (16 KB in all), so
+// adding a base to a row is four 2-lane vector adds and stores, not
+// eight byte loads, adds and stores.
+struct alignas(64) LaneRow {
+  std::uint64_t lane[8];
+};
+
+struct LaneTable {
+  LaneRow rows[256];
+  std::uint8_t count[256];
+};
+
+inline constexpr LaneTable make_lane_table() {
+  LaneTable table{};
+  for (unsigned m = 0; m < 256; ++m) {
+    unsigned count = 0;
+    for (unsigned k = 0; k < 8; ++k) {
+      if ((m >> k) & 1u) table.rows[m].lane[count++] = k;
+    }
+    table.count[m] = static_cast<std::uint8_t>(count);
+  }
+  return table;
+}
+
+inline constexpr LaneTable kLaneTable = make_lane_table();
+
+static_assert(lane_bits(kHigh) == 0xFF && lane_bits(0x80) == 0x01 &&
+              lane_bits(0x8000000000000000ull) == 0x80);
+static_assert(lane_count(kHigh) == 8 && lane_count(0x8000000000000080ull) == 2);
+static_assert(kLaneTable.count[0xA5] == 4 &&
+              kLaneTable.rows[0xA5].lane[3] == 7);
+
+// The emitter's stack buffer, in names. emit8 may write 8 past `fill`,
+// so the loops spill once fill passes kEmitBuffer - 8.
+inline constexpr std::size_t kEmitBuffer = 512;
+
+// Stores at + k for all 8 candidates of row `lanes` at buf[fill..fill+8)
+// and returns fill advanced by the row's count. Every store happens
+// whatever the pattern, so the loop has no branch per name; the slots
+// past the count are overwritten by the next group.
+inline std::size_t emit8(std::uint64_t* buf, std::size_t fill,
+                         std::uint64_t at, unsigned lanes) {
+  const LaneRow& row = kLaneTable.rows[lanes];
+  for (unsigned k = 0; k < 8; ++k) buf[fill + k] = at + row.lane[k];
+  return fill + kLaneTable.count[lanes];
+}
+
 }  // namespace detail
 
 // --- per-byte reference engine ------------------------------------------
@@ -121,8 +197,7 @@ inline std::uint64_t count_held(const sync::TasCell* cells, std::uint64_t n) {
   std::uint64_t count = 0;
   std::uint64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    count += static_cast<std::uint64_t>(
-        __builtin_popcountll(detail::held_mask(detail::load_word(cells, i))));
+    count += detail::lane_count(detail::held_mask(detail::load_word(cells, i)));
   }
   for (; i < n; ++i) {
     if (cells[i].held()) ++count;
@@ -130,22 +205,30 @@ inline std::uint64_t count_held(const sync::TasCell* cells, std::uint64_t n) {
   return count;
 }
 
-// Calls fn(index) for every held slot, in ascending index order.
-template <typename Fn>
-void for_each_held(const sync::TasCell* cells, std::uint64_t n, Fn&& fn) {
+// Appends the index of every held slot in cells[0..n) to out, ascending,
+// and returns how many it appended.
+inline std::size_t collect_held(const sync::TasCell* cells, std::uint64_t n,
+                                std::vector<std::uint64_t>& out) {
+  const std::size_t before = out.size();
+  std::uint64_t buf[detail::kEmitBuffer];
+  std::size_t fill = 0;
   std::uint64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    std::uint64_t mask = detail::held_mask(detail::load_word(cells, i));
-    while (mask != 0) {
-      // Each lane's marker is its byte's 0x80 bit: bit 7 for slot i,
-      // bit 15 for slot i+1, ... so ctz >> 3 recovers the byte offset.
-      fn(i + (static_cast<std::uint64_t>(__builtin_ctzll(mask)) >> 3));
-      mask &= mask - 1;
+    fill = detail::emit8(
+        buf, fill, i,
+        detail::lane_bits(detail::held_mask(detail::load_word(cells, i))));
+    if (fill > detail::kEmitBuffer - 8) {
+      out.insert(out.end(), buf, buf + fill);
+      fill = 0;
     }
   }
-  for (; i < n; ++i) {
-    if (cells[i].held()) fn(i);
+  unsigned tail = 0;
+  for (unsigned k = 0; i + k < n; ++k) {
+    tail |= (cells[i + k].held() ? 1u : 0u) << k;
   }
+  fill = detail::emit8(buf, fill, i, tail);
+  out.insert(out.end(), buf, buf + fill);
+  return out.size() - before;
 }
 
 // --- multi-claim engine -------------------------------------------------
@@ -202,20 +285,35 @@ std::size_t claim_clear(sync::TasCell* cells, std::uint64_t begin,
 
 // --- bit-domain sibling -------------------------------------------------
 
-// Same contract as for_each_held for the bit-per-slot layout: fn(index)
-// for every set bit across `words`, ascending. The caller guarantees bits
-// past its logical slot count are never set (the BitmapActivityArray
-// invariant), so no bound beyond the word count is needed.
-template <typename Fn>
-void for_each_set_bit(const la::detail::atomic<std::uint64_t>* words,
-                      std::uint64_t word_count, Fn&& fn) {
+// collect_held for the bit-per-slot layout: appends base + 64 * w + b for
+// every set bit b of word_at(w), w in [0, word_count), ascending, and
+// returns how many it appended. Each byte of a word is one table row.
+// The caller guarantees bits past its logical slot count are clear (the
+// BitmapActivityArray invariant; the daemon's windows end at a word), so
+// no bound beyond the word count is needed. word_at reads the caller's
+// words however they are stored (relaxed atomic loads, plain memory).
+template <typename WordAt>
+std::size_t collect_set_bits(std::uint64_t word_count, std::uint64_t base,
+                             WordAt&& word_at,
+                             std::vector<std::uint64_t>& out) {
+  const std::size_t before = out.size();
+  std::uint64_t buf[detail::kEmitBuffer];
+  std::size_t fill = 0;
   for (std::uint64_t w = 0; w < word_count; ++w) {
-    std::uint64_t bits = words[w].load(std::memory_order_relaxed);
-    while (bits != 0) {
-      fn(w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(bits)));
-      bits &= bits - 1;
+    const std::uint64_t bits = word_at(w);
+    const std::uint64_t at = base + 64 * w;
+    for (unsigned b = 0; b < 64; b += 8) {
+      fill = detail::emit8(buf, fill, at + b,
+                           static_cast<unsigned>((bits >> b) & 0xFF));
+    }
+    // A word adds at most 64 names, so spill with a word's room left.
+    if (fill > detail::kEmitBuffer - 64 - 8) {
+      out.insert(out.end(), buf, buf + fill);
+      fill = 0;
     }
   }
+  out.insert(out.end(), buf, buf + fill);
+  return out.size() - before;
 }
 
 }  // namespace la::core::slot_scan

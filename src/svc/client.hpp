@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "api/renamer.hpp"
+#include "core/slot_scan.hpp"
 #include "scale/thread_cache.hpp"
 #include "svc/segment.hpp"
 #include "sync/cache.hpp"
@@ -143,9 +144,10 @@ class Client {
     }
   }
 
+  // Appends the held names to out, ascending, and returns how many it
+  // appended — the same contract as every in-process collect.
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    const_cast<Client*>(this)->exchange_collect(out);
-    return out.size();
+    return const_cast<Client*>(this)->exchange_collect(out);
   }
 
   std::uint64_t capacity() const {
@@ -420,16 +422,21 @@ class Client {
     }
   }
 
-  void exchange_collect(std::vector<std::uint64_t>& out) {
-    out.clear();
+  // Decodes the kCollect stream: chunk j is the bitmap of slots
+  // [j * kCollectWindow, (j + 1) * kCollectWindow), expanded straight
+  // from the response slot by the bit-domain emitter.
+  std::size_t exchange_collect(std::vector<std::uint64_t>& out) {
+    const std::size_t before = out.size();
     const Port port = acquire_port();
     try {
       push_request(port.ring, Op::kCollect, 0, nullptr);
-      for (;;) {
+      for (std::uint64_t base = 0;; base += kCollectWindow) {
         ResponseSlot* resp = await_response(port.ring);
-        for (std::uint32_t i = 0; i < resp->count; ++i) {
-          out.push_back(resp->names[i]);
-        }
+        const std::uint32_t words =
+            resp->count < kMaxBatch ? resp->count : kMaxBatch;
+        core::slot_scan::collect_set_bits(
+            words, base, [&](std::uint64_t w) { return resp->names[w]; },
+            out);
         const bool more = resp->more != 0;
         finish_response(port.ring, resp);
         if (!more) break;
@@ -439,6 +446,7 @@ class Client {
       throw;
     }
     release_port(port);
+    return out.size() - before;
   }
 
   SegmentView seg_;

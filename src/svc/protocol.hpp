@@ -28,13 +28,24 @@
 //   kFreeK   free names[0..count). Processed in order; on the first bad
 //            name the server stops and reports the index and class, with
 //            the earlier names already freed (the api batch contract).
-//   kCollect stream the logically-held name set in kMaxBatch-sized
-//            chunks; `more` marks every chunk but the last.
+//   kCollect stream the logically-held name set as a bitmap, one
+//            response slot per 4096-slot window (kCollectWindow): chunk j
+//            covers slots [j*4096, (j+1)*4096), bit b of names[w] is slot
+//            j*4096 + 64*w + b, and `count` is how many words it carries
+//            (trailing zero words are trimmed, so an empty window carries
+//            0). `more` marks every chunk but the last, and the last is
+//            the window holding the highest held name — an empty set is
+//            one chunk with count 0. The windows come from the collect
+//            result alone, never from total_slots(), so a migration
+//            that changes the geometry cannot skew them. One slot carries
+//            64x the names a name list would (~196 slots at L = 800k
+//            instead of one per 64 held names).
 //   kDetach  the sending thread is leaving: drop any per-ring state.
 //            Fire-and-forget — no response slot is produced.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +62,9 @@
 namespace la::svc {
 
 inline constexpr std::uint32_t kMaxBatch = 64;
+
+// Slots per kCollect chunk: names[] read as kMaxBatch 64-bit bitmap words.
+inline constexpr std::uint64_t kCollectWindow = 64 * kMaxBatch;
 
 enum class Op : std::uint32_t {
   kNop = 0,
@@ -84,8 +98,9 @@ struct alignas(sync::kCacheLineSize) RequestSlot {
 };
 
 // Server -> client. GetK fills names[] and probes[] (the per-name trial
-// counts the benches record); FreeK fills status/error_index; kCollect
-// chunks fill names[] and set `more` on every chunk but the last.
+// counts the benches record); FreeK fills status/error_index; a kCollect
+// chunk fills names[0..count) with bitmap words of its 4096-slot window
+// and sets `more` on every chunk but the last.
 struct alignas(sync::kCacheLineSize) ResponseSlot {
   std::atomic<std::uint32_t> seq{0};
   Status status = Status::kOk;
@@ -98,6 +113,11 @@ struct alignas(sync::kCacheLineSize) ResponseSlot {
 
 static_assert(sizeof(RequestSlot) % sync::kCacheLineSize == 0);
 static_assert(sizeof(ResponseSlot) % sync::kCacheLineSize == 0);
+// The wire layout is shared between processes built separately; pin it.
+static_assert(sizeof(RequestSlot) == 576 && offsetof(RequestSlot, names) == 24);
+static_assert(sizeof(ResponseSlot) == 832 &&
+              offsetof(ResponseSlot, probes) == 20 &&
+              offsetof(ResponseSlot, names) == 280);
 
 // --- process identity helpers (shared by server sweep + client probes) --
 

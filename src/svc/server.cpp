@@ -266,33 +266,50 @@ std::uint64_t Server::handle_free(std::uint32_t r, std::uint32_t pid,
   return released;
 }
 
-void Server::handle_collect(std::uint32_t r) {
-  std::vector<std::uint64_t> held;
+// Streams the held set as bitmap windows (protocol.hpp, kCollect). `held`
+// is the worker's own buffer, reused across requests: it grows to the
+// largest held set once instead of being rebuilt from empty per request.
+// The windows are packed from the collect result, which every structure
+// appends ascending, so the stream ends at the window of the highest held
+// name and never reads total_slots(). A name outside the current window
+// ends it; one left over after the last window means the result was not
+// ascending, and fails the worker rather than drop the name.
+void Server::handle_collect(std::uint32_t r, std::vector<std::uint64_t>& held) {
+  held.clear();
   structure_.collect(held);
-  std::size_t sent = 0;
-  do {
-    const std::size_t chunk =
-        held.size() - sent < kMaxBatch ? held.size() - sent : kMaxBatch;
-    const bool last = sent + chunk == held.size();
+  std::size_t next = 0;
+  std::uint64_t base = 0;
+  for (;;) {
+    const bool last = held.empty() || held.back() < base + kCollectWindow;
     if (!respond(r, [&](ResponseSlot& out) {
           out.status = Status::kOk;
-          out.count = static_cast<std::uint32_t>(chunk);
           out.error_index = 0;
           out.more = last ? 0 : 1;
-          for (std::size_t i = 0; i < chunk; ++i) {
-            out.names[i] = held[sent + i];
+          std::memset(out.names, 0, sizeof(out.names));
+          std::uint64_t words = 0;
+          for (; next < held.size(); ++next) {
+            const std::uint64_t slot = held[next] - base;
+            if (slot >= kCollectWindow) break;
+            out.names[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+            words = (slot >> 6) + 1;
           }
+          out.count = static_cast<std::uint32_t>(words);
         })) {
       return;  // client died mid-stream; sweep reclaims
     }
-    sent += chunk;
-  } while (sent < held.size());
+    if (last) break;
+    base += kCollectWindow;
+  }
+  if (next != held.size()) {
+    throw std::logic_error("svc::Server: collect result not ascending");
+  }
 }
 
 // --- the worker loop ----------------------------------------------------
 
 std::size_t Server::drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
                                std::vector<Pending>& pending,
+                               std::vector<std::uint64_t>& collect_buf,
                                bool& released) {
   ClientSlot& cs = seg_.client_slot(r);
   auto ring = seg_.request_ring(r);
@@ -335,7 +352,7 @@ std::size_t Server::drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
       case Op::kCollect:
         // collect() drains the per-thread caches, which can release gate
         // capacity the pending list is waiting on.
-        handle_collect(r);
+        handle_collect(r, collect_buf);
         released = true;
         break;
       case Op::kDetach:
@@ -456,6 +473,9 @@ void Server::sweep_own(std::uint32_t wid, std::vector<Pending>& pending,
 void Server::worker_loop(std::uint32_t wid) {
   rng::MarsagliaXorshift rng(rng::mix_seed(0x53564300ull, wid + 1));
   std::vector<Pending> pending;
+  // kCollect's name buffer: empty until the first collect, then reused.
+  // Reserving it up front would cost every daemon ~6 MB at L = 800k.
+  std::vector<std::uint64_t> collect_buf;
   std::uint64_t seen_sweep_epoch = 0;
   Header& h = seg_.header();
   try {
@@ -479,7 +499,7 @@ void Server::worker_loop(std::uint32_t wid) {
       std::size_t processed = 0;
       for (std::uint32_t r = wid; r < seg_.config().max_clients;
            r += workers_) {
-        processed += drain_ring(r, rng, pending, released);
+        processed += drain_ring(r, rng, pending, collect_buf, released);
       }
       const std::uint64_t epoch = sweep_epoch_.load(std::memory_order_acquire);
       if (epoch != seen_sweep_epoch) {

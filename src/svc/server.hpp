@@ -141,9 +141,11 @@ class Server {
                  rng::MarsagliaXorshift& rng);
   std::uint64_t handle_free(std::uint32_t r, std::uint32_t pid,
                             const std::uint64_t* names, std::uint32_t count);
-  void handle_collect(std::uint32_t r);
+  void handle_collect(std::uint32_t r, std::vector<std::uint64_t>& held);
   std::size_t drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
-                         std::vector<Pending>& pending, bool& released);
+                         std::vector<Pending>& pending,
+                         std::vector<std::uint64_t>& collect_buf,
+                         bool& released);
   void retry_pending(std::vector<Pending>& pending,
                      rng::MarsagliaXorshift& rng);
   void expire(std::uint32_t r);

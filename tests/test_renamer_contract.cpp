@@ -1,9 +1,12 @@
 // Registry-driven conformance test: every registered structure must honor
 // the shared api::Renamer contract — distinct names while held (up to the
-// contention bound), freed names reusable, collect() agreeing with the
-// held set, out-of-range free throwing, and double-free failing loudly.
+// contention bound), freed names reusable, collect() appending the held
+// set in ascending order, out-of-range free throwing, and double-free
+// failing loudly.
 // Every adoptable structure's adopt_held and every core::SlotArray-backed
 // structure's collect-vs-bytewise parity are checked directly too.
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -50,9 +53,17 @@ void check_contract(Array& array, std::uint64_t capacity) {
   }
   CHECK(held.size() == capacity);
 
-  // collect() sees exactly the held set.
-  std::vector<std::uint64_t> collected;
+  // collect() sees exactly the held set, ascending, and appends: a
+  // sentinel prefix already in the vector survives, and the return value
+  // counts only the names appended after it.
+  const std::vector<std::uint64_t> prefix = {~0ull, 7, ~0ull};
+  std::vector<std::uint64_t> collected = prefix;
   CHECK(array.collect(collected) == capacity);
+  CHECK(collected.size() == prefix.size() + capacity);
+  CHECK(std::equal(prefix.begin(), prefix.end(), collected.begin()));
+  collected.erase(collected.begin(),
+                  collected.begin() + static_cast<std::ptrdiff_t>(prefix.size()));
+  CHECK(std::is_sorted(collected.begin(), collected.end()));
   CHECK(std::set<std::uint64_t>(collected.begin(), collected.end()) == held);
 
   // Free half; the freed names must become reusable (the next Gets

@@ -2,7 +2,10 @@
 // must agree with the per-byte reference on every occupancy pattern —
 // in particular around word boundaries and tail remainders, where SWAR
 // bugs live (the borrow-propagating zero-byte mask this suite was
-// written against misclassified bytes above the first clear slot).
+// written against misclassified bytes above the first clear slot). The
+// name emitter is checked the same way, in both domains, at every length
+// up to 1100 — across its 512-name buffer boundary and every tail length
+// — and appending after existing contents.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -28,14 +31,15 @@ int failures = 0;
 
 using la::core::slot_scan::claim_clear;
 using la::core::slot_scan::count_held;
+using la::core::slot_scan::collect_held;
+using la::core::slot_scan::collect_set_bits;
 using la::core::slot_scan::count_held_bytewise;
-using la::core::slot_scan::for_each_held;
 using la::core::slot_scan::for_each_held_bytewise;
 
 std::vector<std::uint64_t> collect_word(const la::sync::TasCell* cells,
                                         std::uint64_t n) {
   std::vector<std::uint64_t> out;
-  for_each_held(cells, n, [&](std::uint64_t i) { out.push_back(i); });
+  CHECK(collect_held(cells, n, out) == out.size());
   return out;
 }
 
@@ -82,6 +86,87 @@ void check_parity(std::vector<la::sync::TasCell>& cells) {
     for (const std::uint64_t end : {n, (start + n) / 2}) {
       CHECK(first_claim(cells, start, end) ==
             first_clear_byte(cells, start, end));
+    }
+  }
+}
+
+// Byte-domain emitter against the per-byte reference on cells[start..n),
+// once into an empty vector and once after a sentinel prefix, which must
+// survive untouched while the return value counts only what was appended.
+void check_emitter(const std::vector<la::sync::TasCell>& cells,
+                   std::uint64_t start) {
+  const auto n = static_cast<std::uint64_t>(cells.size());
+  if (start > n) return;
+  const la::sync::TasCell* from = cells.data() + start;
+  const auto expected = collect_byte(from, n - start);
+  CHECK(collect_word(from, n - start) == expected);
+  const std::vector<std::uint64_t> prefix = {~0ull, 42, ~0ull};
+  std::vector<std::uint64_t> out = prefix;
+  CHECK(collect_held(from, n - start, out) == expected.size());
+  CHECK(std::equal(prefix.begin(), prefix.end(), out.begin()));
+  CHECK(std::equal(expected.begin(), expected.end(),
+                   out.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+                   out.end()));
+}
+
+// Per-bit reference for collect_set_bits.
+std::vector<std::uint64_t> set_bits_reference(
+    const std::vector<std::uint64_t>& words, std::uint64_t base) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (unsigned b = 0; b < 64; ++b) {
+      if ((words[w] >> b) & 1u) out.push_back(base + 64 * w + b);
+    }
+  }
+  return out;
+}
+
+// Bit-domain emitter against the per-bit reference, at base 0 and at a
+// daemon-window base, into an empty vector and after a prefix.
+void check_bit_emitter(const std::vector<std::uint64_t>& words) {
+  const auto word_at = [&](std::uint64_t w) { return words[w]; };
+  for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{8192}}) {
+    const auto expected = set_bits_reference(words, base);
+    std::vector<std::uint64_t> out;
+    CHECK(collect_set_bits(words.size(), base, word_at, out) ==
+          expected.size());
+    CHECK(out == expected);
+    std::vector<std::uint64_t> appended = {7, 7};
+    CHECK(collect_set_bits(words.size(), base, word_at, appended) ==
+          expected.size());
+    CHECK(appended.size() == expected.size() + 2 && appended[0] == 7 &&
+          appended[1] == 7);
+    CHECK(std::equal(expected.begin(), expected.end(),
+                     appended.begin() + 2, appended.end()));
+  }
+}
+
+// Every length 0..1100 (crossing the 512-name buffer at ±1 and every
+// non-multiple-of-8 tail), all-clear, all-held and random fills, in both
+// domains; the byte domain from every start 0..9 as well.
+void check_emitter_lengths(la::rng::MarsagliaXorshift& rng) {
+  for (std::uint64_t n = 0; n <= 1100; ++n) {
+    std::vector<la::sync::TasCell> clear(n), held(n), random(n);
+    std::vector<std::uint64_t> clear_bits((n + 63) / 64), held_bits(clear_bits),
+        random_bits(clear_bits);
+    const std::uint64_t density_pct = la::rng::bounded(rng, 101);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      CHECK(held[i].try_acquire());
+      held_bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+      if (la::rng::bounded(rng, 100) < density_pct) {
+        CHECK(random[i].try_acquire());
+        random_bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+      }
+    }
+    CHECK(collect_word(clear.data(), n).empty());
+    CHECK(collect_word(held.data(), n).size() == n);
+    for (const auto* cells : {&clear, &held, &random}) {
+      for (std::uint64_t start = 0; start <= 9; ++start) {
+        check_emitter(*cells, start);
+      }
+    }
+    for (const auto* bits : {&clear_bits, &held_bits, &random_bits}) {
+      check_bit_emitter(*bits);
     }
   }
 }
@@ -157,6 +242,9 @@ int main() {
       check_parity(cells);
     }
   }
+
+  // --- the name emitter at every length -----------------------------
+  check_emitter_lengths(rng);
 
   // --- LevelArray collect vs its byte-wise reference -----------------
   {

@@ -60,7 +60,10 @@ std::string current;
 
 constexpr std::uint64_t kCapacity = 64;
 constexpr std::uint64_t kHolderHolds = 6;
-constexpr std::uint64_t kCollectCapacity = 512;
+// ~40k slots: the kCollect stream runs to ~10 bitmap windows of 4096
+// slots, several times the 8-slot response ring, so a collect is always
+// mid-stream when the server dies.
+constexpr std::uint64_t kCollectCapacity = 20000;
 
 // The death-test server child: serve segment A until SIGKILLed.
 [[noreturn]] void server_child(la::svc::SegmentView seg) {
@@ -141,7 +144,7 @@ void test_server_death(la::svc::SegmentView seg, pid_t server_pid) {
 // "server process died" error, not a wedge — every response wait in the
 // stream (and the request push behind it) arms the liveness probe. The
 // server child pre-seeds most of its array so each collect streams many
-// kMaxBatch-sized chunks, widening the between-chunks window the kill
+// bitmap-window chunks, widening the between-chunks window the kill
 // lands in.
 void test_server_death_mid_collect(la::svc::SegmentView seg,
                                    pid_t server_pid) {

@@ -6,17 +6,27 @@
 // uint32 wraparound, full/empty edge conditions, dead-producer resets,
 // a real producer/consumer thread pair with the consumer parked on an
 // eventcount (every item must arrive, in order, with no lost wakeup),
-// and an eventcount ping-pong that only terminates if no signal is ever
-// dropped. Run under TSan by scripts/check.sh tsan.
+// an eventcount ping-pong that only terminates if no signal is ever
+// dropped, and the kCollect bitmap stream end to end through an
+// in-process server (window edges, a slot count that is not a multiple of
+// 64, the stream's chunk count, the empty set). Run under TSan by
+// scripts/check.sh tsan.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "arrays/id_array.hpp"
+#include "ckpt/any_renamer.hpp"
+#include "svc/client.hpp"
 #include "svc/protocol.hpp"
 #include "svc/ring.hpp"
+#include "svc/segment.hpp"
+#include "svc/server.hpp"
 #include "sync/futex.hpp"
 #include "sync/spin_barrier.hpp"
 
@@ -252,6 +262,63 @@ void check_eventcount_ping_pong() {
   CHECK(turn.load() == 2 * kRounds);
 }
 
+// Response slots consumed across every ring of the segment: how many
+// chunks the server has streamed back.
+std::uint64_t responses_consumed(la::svc::SegmentView seg) {
+  std::uint64_t total = 0;
+  for (std::uint32_t r = 0; r < seg.config().max_clients; ++r) {
+    total += seg.client_slot(r).resp_head.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+// The bitmap-window kCollect stream, end to end: a server over an id
+// array of 12345 slots (not a multiple of 64) holding the window-edge
+// names must hand the client exactly those names, ascending, appended
+// after what the vector already held, in one chunk per 4096-slot window
+// up to the highest name; an empty structure answers with one chunk.
+void check_collect_bitmap_stream() {
+  current = "collect-bitmap-stream";
+  constexpr std::uint64_t kSlots = 12345;
+  static_assert(kSlots % 64 != 0);
+  const std::vector<std::uint64_t> names = {0,    63,   64,        4095,
+                                            4096, 8191, kSlots - 1};
+  auto ids = std::make_unique<la::arrays::IdIndexedArray>(kSlots, kSlots);
+  for (const auto name : names) (void)ids->get_by_id(name);
+  la::ckpt::AnyRenamer structure(std::move(ids), "id");
+  la::svc::Segment segment(la::svc::SegmentConfig{});
+  la::svc::Server server(segment.view(), structure);
+  server.start();
+  {
+    la::svc::Client client(segment.view());
+    std::vector<std::uint64_t> out = {99};
+    std::uint64_t before = responses_consumed(segment.view());
+    CHECK(client.collect(out) == names.size());
+    CHECK(responses_consumed(segment.view()) - before ==
+          (kSlots - 1) / la::svc::kCollectWindow + 1);
+    CHECK(out.size() == names.size() + 1 && out[0] == 99);
+    CHECK(std::equal(names.begin(), names.end(), out.begin() + 1, out.end()));
+
+    // Without its top name the stream stops at the window of 8191.
+    structure.free(kSlots - 1);
+    out.clear();
+    before = responses_consumed(segment.view());
+    CHECK(client.collect(out) == names.size() - 1);
+    CHECK(responses_consumed(segment.view()) - before == 2);
+    CHECK(std::equal(names.begin(), names.end() - 1, out.begin(), out.end()));
+
+    // Empty: one chunk, nothing appended.
+    for (std::size_t i = 0; i + 1 < names.size(); ++i) structure.free(names[i]);
+    out.assign(1, 5);
+    before = responses_consumed(segment.view());
+    CHECK(client.collect(out) == 0);
+    CHECK(responses_consumed(segment.view()) - before == 1);
+    CHECK(out.size() == 1 && out[0] == 5);
+  }
+  server.stop();
+  CHECK(server.error().empty());
+}
+
 }  // namespace
 
 int main() {
@@ -261,6 +328,7 @@ int main() {
   check_reset_discards_inflight();
   check_threaded_spsc_eventcount();
   check_eventcount_ping_pong();
+  check_collect_bitmap_stream();
   if (failures == 0) {
     std::printf("test_svc_ring: all checks passed\n");
     return 0;
