@@ -157,12 +157,16 @@ std::string BenchReport::render() const {
 
 bool BenchReport::write_file(const std::string& path,
                              std::ostream& err) const {
+  // Render (and so read `git describe --dirty`) before opening: opening
+  // truncates the file, and regenerating a committed snapshot in place
+  // would otherwise always stamp the clean commit "-dirty".
+  const std::string text = render();
   std::ofstream file(path);
   if (!file) {
     err << bench_ << ": cannot open --json path " << path << "\n";
     return false;
   }
-  file << render();
+  file << text;
   file.flush();
   if (!file) {
     err << bench_ << ": failed writing --json path " << path << "\n";
