@@ -76,6 +76,8 @@ FUNC_RE = re.compile(
     r"^\s*(?:class|struct)\s+([A-Za-z_]\w*)"
 )
 
+ALIGNAS_RE = re.compile(r"\balignas\s*\([^()]*\)\s*")
+
 Site = collections.namedtuple("Site", "file symbol op order line")
 
 
@@ -103,7 +105,8 @@ def enclosing_symbols(lines):
     # like calls but must not replace the constructor as the candidate.
     in_inits = False
     for line in lines:
-        code = line.split("//", 1)[0]
+        # `struct alignas(64) Name {` is a struct header, not a call.
+        code = ALIGNAS_RE.sub("", line.split("//", 1)[0])
         lead = code.lstrip()
         if (pending is not None and lead[:1] in (":", ",")
                 and not lead.startswith("::")):
@@ -149,12 +152,17 @@ def extract_file(path, text=None):
             window = " ".join(w.split("//", 1)[0] for w in window_lines)
             stmt = re.split(r"[;{}]", window)[-1]
             op = None
+            # The innermost call still open at the token: in
+            # `a.store(a.load(order) + 1, order)` the second order belongs
+            # to store, because load's parenthesis has closed by then.
             for om in re.finditer(
                     r"(?:(?:\.|->)\s*(load|store|exchange|fetch_add|fetch_sub|"
                     r"fetch_or|fetch_and|fetch_xor|compare_exchange_weak|"
                     r"compare_exchange_strong|test_and_set|clear|wait)|"
                     r"\b(atomic_thread_fence))\s*\(", stmt):
-                op = om.group(1) or "fence"
+                rest = stmt[om.end():]
+                if rest.count("(") >= rest.count(")"):
+                    op = om.group(1) or "fence"
             if op is None:
                 # Not a call argument (e.g. a default parameter, an enum
                 # table, a using-alias): not an executable site.
@@ -337,10 +345,26 @@ def self_test():
     assert [(s.symbol, s.op) for s in trailing_sites] == [
         ("adopt_held", "fetch_add")], trailing_sites
 
+    # An over-aligned nested struct files its members under their own
+    # names, not under `alignas`; in a nested call each ordering belongs
+    # to the innermost call still open at it.
+    aligned = (
+        "struct alignas(64) Counters {\n"
+        "  static void bump(std::atomic<int>& c, int n) {\n"
+        "    c.store(c.load(std::memory_order_relaxed) + n,\n"
+        "            std::memory_order_release);\n"
+        "  }\n"
+        "};\n"
+    )
+    aligned_sites = extract_file(fake, aligned)
+    assert [(s.symbol, s.op, s.order) for s in aligned_sites] == [
+        ("bump", "load", "relaxed"), ("bump", "store", "release")], (
+        aligned_sites)
+
     print("self-test OK: clean tree passes, acquire->relaxed downgrade "
           "fails, ignore marker suppresses, constructor bodies file under "
           "the constructor, trailing return types file under their "
-          "function")
+          "function, alignas structs and nested calls file correctly")
 
 
 def main():

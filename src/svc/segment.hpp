@@ -11,8 +11,11 @@
 //                           flags, the global server doorbell, and a
 //                           small scratch array harnesses use to
 //                           coordinate across fork()
-//   [ClientSlot x max    ]  claim state, owning pid, persisted ring
-//                           cursors, and the per-ring response bell
+//   [ClientSlot x max    ]  three cache lines per ring, one per writer:
+//                             claim state, owning pid and the response
+//                             bell (written at claim and park time);
+//                             the client's cursors (req_tail, resp_head);
+//                             the server's cursors (req_head, resp_tail)
 //   [RequestSlot  x max * depth]   client -> server ring storage
 //   [ResponseSlot x max * depth]   server -> client ring storage
 //
@@ -45,7 +48,7 @@ struct SegmentConfig {
 
 struct alignas(sync::kCacheLineSize) Header {
   std::uint64_t magic = 0;
-  std::uint32_t version = 1;
+  std::uint32_t version = 2;  // 2: ClientSlot split into three lines
   std::uint32_t max_clients = 0;
   std::uint32_t ring_depth = 0;
   // Structure geometry, published by the server before `ready` so a
@@ -67,10 +70,18 @@ struct alignas(sync::kCacheLineSize) Header {
   std::atomic<std::uint64_t> scratch[kScratchWords] = {};
 };
 
+// One ring's control words, grouped by writer so that no line has two
+// writers in steady state. A round trip then moves each cursor line once
+// (the other endpoint never reads it: each endpoint keeps its own
+// cursors, and the ring slots' seq words carry the handshake), and the
+// claim line only when a client claims, releases or parks.
 struct alignas(sync::kCacheLineSize) ClientSlot {
   static constexpr std::uint32_t kFree = 0;
   static constexpr std::uint32_t kClaimed = 1;
 
+  // --- claim line: written at claim, release and reclaim; the bell's
+  // waiter count at park time. The server reads it on every response
+  // push (resp_bell.signal()), which leaves the line shared, not moved.
   std::atomic<std::uint32_t> state{kFree};
   std::atomic<std::uint32_t> pid{0};
   // Claim generation token: the claimant's kernel start time
@@ -80,16 +91,36 @@ struct alignas(sync::kCacheLineSize) ClientSlot {
   // fresh start time. 0 = token unavailable (non-Linux); pid-only
   // liveness then applies.
   std::atomic<std::uint64_t> claim_token{0};
-  // Persisted ring cursors (see ring.hpp): each is written only by its
-  // endpoint; the claim CAS publishes them to the next claimant.
-  std::atomic<std::uint32_t> req_tail{0};   // producer: client
-  std::atomic<std::uint32_t> req_head{0};   // consumer: server
-  std::atomic<std::uint32_t> resp_tail{0};  // producer: server
-  std::atomic<std::uint32_t> resp_head{0};  // consumer: client
   // The client's eventcount: the server signals after every response
   // push; a client out of spin/yield budget parks here.
   sync::FutexWord resp_bell{true};
+
+  // Persisted ring cursors (see ring.hpp): each is written only by its
+  // endpoint; the claim CAS publishes them to the next claimant, and the
+  // dead-client reclaim rewrites the client's pair once its owner is gone.
+  // --- client line: the request producer and the response consumer.
+  alignas(sync::kCacheLineSize) std::atomic<std::uint32_t> req_tail{0};
+  std::atomic<std::uint32_t> resp_head{0};
+  // --- server line: the request consumer and the response producer.
+  alignas(sync::kCacheLineSize) std::atomic<std::uint32_t> req_head{0};
+  std::atomic<std::uint32_t> resp_tail{0};
 };
+
+// The layout above, pinned: three groups on three distinct lines.
+namespace detail {
+constexpr std::size_t line_of(std::size_t offset) {
+  return offset / sync::kCacheLineSize;
+}
+}  // namespace detail
+static_assert(sizeof(ClientSlot) == 3 * sync::kCacheLineSize);
+static_assert(detail::line_of(offsetof(ClientSlot, state)) == 0 &&
+              detail::line_of(offsetof(ClientSlot, resp_bell)) == 0 &&
+              detail::line_of(offsetof(ClientSlot, resp_bell) +
+                              sizeof(sync::FutexWord) - 1) == 0);
+static_assert(detail::line_of(offsetof(ClientSlot, req_tail)) == 1 &&
+              detail::line_of(offsetof(ClientSlot, resp_head)) == 1);
+static_assert(detail::line_of(offsetof(ClientSlot, req_head)) == 2 &&
+              detail::line_of(offsetof(ClientSlot, resp_tail)) == 2);
 
 // A non-owning, trivially copyable window onto a mapped segment. Both
 // sides of a fork hold the same view (same base address).

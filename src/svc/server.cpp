@@ -13,7 +13,8 @@ Server::Server(SegmentView segment, ckpt::AnyRenamer& structure,
                std::uint32_t workers)
     : seg_(segment),
       structure_(structure),
-      workers_(workers == 0 ? 1 : workers) {}
+      workers_(workers == 0 ? 1 : workers),
+      counters_(workers_) {}
 
 Server::~Server() { stop(); }
 
@@ -89,9 +90,11 @@ void Server::migrate(const std::function<void(ckpt::AnyRenamer&)>& fn) {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.names_granted = granted_.load(std::memory_order_relaxed);
-  s.names_freed = freed_.load(std::memory_order_relaxed);
+  for (const auto& c : counters_) {
+    s.requests += c.requests.load(std::memory_order_relaxed);
+    s.names_granted += c.granted.load(std::memory_order_relaxed);
+    s.names_freed += c.freed.load(std::memory_order_relaxed);
+  }
   s.pending_parked = pending_parked_.load(std::memory_order_relaxed);
   s.pending_expired = pending_expired_.load(std::memory_order_relaxed);
   s.idle_parks = idle_parks_.load(std::memory_order_relaxed);
@@ -195,14 +198,15 @@ bool Server::respond(std::uint32_t r, Fill&& fill) {
 
 // --- opcode handlers (all run on the ring's owning worker) ------------
 
-bool Server::try_grant(std::uint32_t r, std::uint32_t pid, std::uint32_t want,
+bool Server::try_grant(WorkerCounters& counters, std::uint32_t r,
+                       std::uint32_t pid, std::uint32_t want,
                        rng::MarsagliaXorshift& rng) {
   GetResult got[kMaxBatch];
   const std::size_t granted =
       structure_.get_batch(rng, got, static_cast<std::size_t>(want));
   if (granted == 0) return false;
   for (std::size_t i = 0; i < granted; ++i) mark_held(pid, got[i].name);
-  granted_.fetch_add(granted, std::memory_order_relaxed);
+  WorkerCounters::bump(counters.granted, granted);
   respond(r, [&](ResponseSlot& out) {
     out.status = Status::kOk;
     out.count = static_cast<std::uint32_t>(granted);
@@ -218,7 +222,8 @@ bool Server::try_grant(std::uint32_t r, std::uint32_t pid, std::uint32_t want,
 
 // Frees names[0..count) in order, stopping at the first bad name with its
 // index and class. Returns how many were actually released.
-std::uint64_t Server::handle_free(std::uint32_t r, std::uint32_t pid,
+std::uint64_t Server::handle_free(WorkerCounters& counters, std::uint32_t r,
+                                  std::uint32_t pid,
                                   const std::uint64_t* names,
                                   std::uint32_t count) {
   Status status = Status::kOk;
@@ -256,7 +261,7 @@ std::uint64_t Server::handle_free(std::uint32_t r, std::uint32_t pid,
       break;
     }
   }
-  freed_.fetch_add(released, std::memory_order_relaxed);
+  WorkerCounters::bump(counters.freed, released);
   respond(r, [&](ResponseSlot& out) {
     out.status = status;
     out.count = static_cast<std::uint32_t>(released);
@@ -307,7 +312,8 @@ void Server::handle_collect(std::uint32_t r, std::vector<std::uint64_t>& held) {
 
 // --- the worker loop ----------------------------------------------------
 
-std::size_t Server::drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
+std::size_t Server::drain_ring(WorkerCounters& counters, std::uint32_t r,
+                               rng::MarsagliaXorshift& rng,
                                std::vector<Pending>& pending,
                                std::vector<std::uint64_t>& collect_buf,
                                bool& released) {
@@ -331,10 +337,10 @@ std::size_t Server::drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
     ring.commit_pop(*req, pos);
     cs.req_head.store(pos + 1, std::memory_order_relaxed);
     ++processed;
-    requests_.fetch_add(1, std::memory_order_relaxed);
+    WorkerCounters::bump(counters.requests, 1);
     switch (op) {
       case Op::kGetK:
-        if (!try_grant(r, pid, count, rng)) {
+        if (!try_grant(counters, r, pid, count, rng)) {
           if (deadline_ns != 0 &&
               sync::FutexWord::monotonic_now_ns() >= deadline_ns) {
             // Already expired on arrival (e.g. queued behind a slow
@@ -347,7 +353,7 @@ std::size_t Server::drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
         }
         break;
       case Op::kFreeK:
-        if (handle_free(r, pid, names, count) != 0) released = true;
+        if (handle_free(counters, r, pid, names, count) != 0) released = true;
         break;
       case Op::kCollect:
         // collect() drains the per-thread caches, which can release gate
@@ -365,10 +371,12 @@ std::size_t Server::drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
   return processed;
 }
 
-void Server::retry_pending(std::vector<Pending>& pending,
+void Server::retry_pending(WorkerCounters& counters,
+                           std::vector<Pending>& pending,
                            rng::MarsagliaXorshift& rng) {
   for (std::size_t i = 0; i < pending.size();) {
-    if (try_grant(pending[i].ring, pending[i].pid, pending[i].want, rng)) {
+    if (try_grant(counters, pending[i].ring, pending[i].pid, pending[i].want,
+                  rng)) {
       pending[i] = pending.back();
       pending.pop_back();
     } else {
@@ -477,6 +485,10 @@ void Server::worker_loop(std::uint32_t wid) {
   // Reserving it up front would cost every daemon ~6 MB at L = 800k.
   std::vector<std::uint64_t> collect_buf;
   std::uint64_t seen_sweep_epoch = 0;
+  WorkerCounters& counters = counters_[wid];
+  // The poll tiers before a doorbell park; any processed request resets
+  // them (see "Idle waiting" in server.hpp).
+  sync::Backoff idle;
   Header& h = seg_.header();
   try {
     for (;;) {
@@ -499,7 +511,8 @@ void Server::worker_loop(std::uint32_t wid) {
       std::size_t processed = 0;
       for (std::uint32_t r = wid; r < seg_.config().max_clients;
            r += workers_) {
-        processed += drain_ring(r, rng, pending, collect_buf, released);
+        processed +=
+            drain_ring(counters, r, rng, pending, collect_buf, released);
       }
       const std::uint64_t epoch = sweep_epoch_.load(std::memory_order_acquire);
       if (epoch != seen_sweep_epoch) {
@@ -508,17 +521,26 @@ void Server::worker_loop(std::uint32_t wid) {
         sweeps_done_.fetch_add(1, std::memory_order_release);
       }
       if (released) {
-        retry_pending(pending, rng);
+        retry_pending(counters, pending, rng);
         // Capacity we released may satisfy another worker's pending
         // list; nudge the fleet.
         if (workers_ > 1) h.doorbell.signal();
       }
       expire_pending(pending);
       if (h.shutdown.load(std::memory_order_acquire)) break;
-      if (processed != 0) continue;
-      // Idle: eventcount on the doorbell. The re-check between prepare
-      // and commit is a full rescan of our rings; the timed sleep doubles
-      // as the liveness-sweep heartbeat.
+      if (processed != 0) {
+        idle.reset();
+        continue;
+      }
+      if (!idle.should_park()) {
+        // Idle, still polling: no doorbell registration, so the clients'
+        // pushes stay a fence and a load of an unchanged line.
+        idle.pause();
+        continue;
+      }
+      // Idle past the poll tiers: eventcount on the doorbell. The
+      // re-check between prepare and commit is a full rescan of our
+      // rings; the timed sleep doubles as the liveness-sweep heartbeat.
       const std::uint32_t seen = h.doorbell.prepare_wait();
       bool nonempty = false;
       for (std::uint32_t r = wid; r < seg_.config().max_clients;
@@ -542,7 +564,7 @@ void Server::worker_loop(std::uint32_t wid) {
       sweep_own(wid, pending, swept_released);
       if (swept_released) {
         h.doorbell.cancel_wait();
-        retry_pending(pending, rng);
+        retry_pending(counters, pending, rng);
         continue;
       }
       idle_parks_.fetch_add(1, std::memory_order_relaxed);

@@ -32,10 +32,23 @@
 //     idle heartbeat (the doorbell park has a timeout) and on demand via
 //     request_sweep().
 //
-// Idle waiting is the eventcount protocol on the segment's global
-// doorbell: register, rescan every owned ring, only then sleep — a
-// request pushed between the scan and the sleep bumps the word and the
-// sleep returns immediately (see sync/futex.hpp).
+// Idle waiting has two stages. A worker whose pass over its rings finds
+// nothing first polls: it runs sync::Backoff's spin and yield tiers,
+// rescanning between rounds, and any processed request resets them. Only
+// then does it register on the segment's global doorbell. Registering is
+// an RMW on the Header line that every client push reads, and while a
+// worker is registered each push pays a fetch_add and a FUTEX_WAKE; a
+// worker that parked after every empty pass made most round trips pay
+// that. Once the tiers run out, the eventcount protocol runs as before:
+// register, rescan every owned ring and sweep dead clients, only then
+// sleep — a request pushed between the scan and the sleep bumps the word
+// and the sleep returns immediately (see sync/futex.hpp). The sleep is
+// timed, so an idle worker still sweeps on the heartbeat. Pending
+// deadlines are checked on every pass, polling or not.
+//
+// The per-request counters (requests, names granted and freed) are
+// per-worker, each written only by its worker on a line of its own;
+// stats() sums them.
 #pragma once
 
 #include <atomic>
@@ -114,6 +127,21 @@ class Server {
   std::string error() const;
 
  private:
+  // One worker's per-request counters. Only the owning worker writes
+  // them, so a bump is a relaxed load and store, not a lock-prefixed
+  // RMW; the alignment keeps each worker's line its own.
+  struct alignas(sync::kCacheLineSize) WorkerCounters {
+    std::atomic<std::uint64_t> requests{0};
+    std::atomic<std::uint64_t> granted{0};
+    std::atomic<std::uint64_t> freed{0};
+
+    static void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
+      counter.store(counter.load(std::memory_order_relaxed) + n,
+                    std::memory_order_relaxed);
+    }
+  };
+  static_assert(sizeof(WorkerCounters) == sync::kCacheLineSize);
+
   struct Pending {
     std::uint32_t ring = 0;
     std::uint32_t pid = 0;
@@ -137,16 +165,18 @@ class Server {
   template <typename Fill>
   bool respond(std::uint32_t r, Fill&& fill);
 
-  bool try_grant(std::uint32_t r, std::uint32_t pid, std::uint32_t want,
-                 rng::MarsagliaXorshift& rng);
-  std::uint64_t handle_free(std::uint32_t r, std::uint32_t pid,
-                            const std::uint64_t* names, std::uint32_t count);
+  bool try_grant(WorkerCounters& counters, std::uint32_t r, std::uint32_t pid,
+                 std::uint32_t want, rng::MarsagliaXorshift& rng);
+  std::uint64_t handle_free(WorkerCounters& counters, std::uint32_t r,
+                            std::uint32_t pid, const std::uint64_t* names,
+                            std::uint32_t count);
   void handle_collect(std::uint32_t r, std::vector<std::uint64_t>& held);
-  std::size_t drain_ring(std::uint32_t r, rng::MarsagliaXorshift& rng,
+  std::size_t drain_ring(WorkerCounters& counters, std::uint32_t r,
+                         rng::MarsagliaXorshift& rng,
                          std::vector<Pending>& pending,
                          std::vector<std::uint64_t>& collect_buf,
                          bool& released);
-  void retry_pending(std::vector<Pending>& pending,
+  void retry_pending(WorkerCounters& counters, std::vector<Pending>& pending,
                      rng::MarsagliaXorshift& rng);
   void expire(std::uint32_t r);
   void expire_pending(std::vector<Pending>& pending);
@@ -159,6 +189,7 @@ class Server {
   ckpt::AnyRenamer& structure_;
   std::uint32_t workers_;
   std::uint64_t hold_words_ = 0;
+  std::vector<WorkerCounters> counters_;  // one per worker
   std::vector<std::thread> threads_;
 
   sync::SpinLock holds_lock_;
@@ -172,15 +203,12 @@ class Server {
   std::atomic<std::uint32_t> migrating_{0};
   std::atomic<std::uint64_t> migrate_checkins_{0};
 
-  // The statistics counters the workers bump on every request start a
-  // cache line of their own, and the alignment rounds sizeof(Server) up
-  // to whole lines: whatever sits next to a Server (ServiceRenamer's
-  // client pointer, read by every client op) never shares a line with
-  // the worker's fetch_adds, wherever the allocator put the object.
-  alignas(sync::kCacheLineSize) std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> granted_{0};
-  std::atomic<std::uint64_t> freed_{0};
-  std::atomic<std::uint64_t> pending_parked_{0};
+  // The rare counters the workers bump start a cache line of their own,
+  // and the alignment rounds sizeof(Server) up to whole lines: whatever
+  // sits next to a Server (ServiceRenamer's client pointer, read by every
+  // client op) never shares a line with the workers' fetch_adds, wherever
+  // the allocator put the object.
+  alignas(sync::kCacheLineSize) std::atomic<std::uint64_t> pending_parked_{0};
   std::atomic<std::uint64_t> pending_expired_{0};
   std::atomic<std::uint64_t> idle_parks_{0};
   std::atomic<std::uint64_t> reclaims_{0};

@@ -9,10 +9,14 @@
 // an eventcount ping-pong that only terminates if no signal is ever
 // dropped, and the kCollect bitmap stream end to end through an
 // in-process server (window edges, a slot count that is not a multiple of
-// 64, the stream's chunk count, the empty set). Run under TSan by
-// scripts/check.sh tsan.
+// 64, the stream's chunk count, the empty set). Two more drive a whole
+// in-process daemon: the server's request and name counters must be exact
+// with two workers and four client threads, and its idle ladder must poll
+// through a closed loop yet still park, and wake, once left idle. Run
+// under TSan by scripts/check.sh tsan.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -22,11 +26,14 @@
 
 #include "arrays/id_array.hpp"
 #include "ckpt/any_renamer.hpp"
+#include "core/level_array.hpp"
+#include "rng/rng.hpp"
 #include "svc/client.hpp"
 #include "svc/protocol.hpp"
 #include "svc/ring.hpp"
 #include "svc/segment.hpp"
 #include "svc/server.hpp"
+#include "svc/service.hpp"
 #include "sync/futex.hpp"
 #include "sync/spin_barrier.hpp"
 
@@ -319,6 +326,128 @@ void check_collect_bitmap_stream() {
   CHECK(server.error().empty());
 }
 
+using LevelDaemon = la::svc::ServiceRenamer<la::core::LevelArray>;
+
+std::unique_ptr<LevelDaemon> make_level_daemon(std::uint32_t server_threads,
+                                               std::uint64_t capacity) {
+  la::svc::ServiceConfig config;
+  config.server_threads = server_threads;
+  return std::make_unique<LevelDaemon>(config, [capacity] {
+    la::core::LevelArrayConfig level;
+    level.capacity = capacity;
+    return std::make_unique<la::core::LevelArray>(level);
+  });
+}
+
+// Spin until `done()` holds or `seconds` pass; returns done().
+template <typename Done>
+bool await(Done&& done, double seconds) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Two server workers, four client threads on four rings (two per
+// worker): at quiescence the summed per-worker counters must equal what
+// the clients issued, to the unit. A counter update lost between workers
+// shows here as a shortfall.
+void check_server_stats_two_workers() {
+  current = "server-stats-two-workers";
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint64_t kRounds = 10000;
+  constexpr std::size_t kBatch = 4;
+  auto daemon = make_level_daemon(2, 64);
+  std::atomic<std::uint64_t> requests{0};
+  std::atomic<std::uint64_t> granted{0};
+  std::atomic<std::uint64_t> freed{0};
+  std::vector<std::thread> clients;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      la::rng::MarsagliaXorshift rng(100 + t);
+      std::uint64_t issued = 0;
+      std::uint64_t got = 0;
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        // One single-name exchange pair and one batched pair per round.
+        const la::GetResult one = daemon->get(rng);
+        daemon->free(one.name);
+        la::GetResult batch[kBatch];
+        const std::size_t n = daemon->get_batch(rng, batch, kBatch);
+        std::uint64_t names[kBatch];
+        for (std::size_t j = 0; j < n; ++j) names[j] = batch[j].name;
+        daemon->free_batch(names, n);
+        issued += 4;
+        got += 1 + n;
+      }
+      requests.fetch_add(issued);
+      granted.fetch_add(got);
+      freed.fetch_add(got);
+    });
+  }
+  for (auto& c : clients) c.join();
+  // Each exiting thread pushed a kDetach, a request of its own; once all
+  // four are drained, every request has been counted.
+  CHECK(await(
+      [&] { return daemon->server_stats().detaches == kThreads; }, 10.0));
+  const la::svc::ServerStats stats = daemon->server_stats();
+  CHECK(stats.requests == requests.load() + kThreads);
+  CHECK(stats.names_granted == granted.load());
+  CHECK(stats.names_freed == freed.load());
+  CHECK(daemon->server().error().empty());
+}
+
+// One client in a closed loop keeps the server polling: in 20k
+// single-name exchanges, with a few microseconds of client work after
+// each Get/Free pair, it may park on the doorbell at most once per
+// hundred requests (a server that parks after every empty pass parks
+// about once per pair). Left idle past its poll tiers, the server must
+// still park, and a Get must wake it: the fastest of three Gets issued
+// to a parked server returns far inside the 50 ms heartbeat that would
+// otherwise serve it.
+void check_idle_ladder() {
+  current = "idle-ladder";
+  constexpr std::uint64_t kExchanges = 20000;
+  constexpr auto kClientWork = std::chrono::microseconds(5);
+  auto daemon = make_level_daemon(1, 64);
+  la::rng::MarsagliaXorshift rng(7);
+  const la::svc::ServerStats before = daemon->server_stats();
+  for (std::uint64_t i = 0; i < kExchanges / 2; ++i) {
+    daemon->free(daemon->get(rng).name);
+    const auto until = std::chrono::steady_clock::now() + kClientWork;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+  const la::svc::ServerStats after = daemon->server_stats();
+  const std::uint64_t requests = after.requests - before.requests;
+  const std::uint64_t parks = after.idle_parks - before.idle_parks;
+  CHECK(requests == kExchanges);
+  CHECK(parks * 100 <= requests);
+  if (parks * 100 > requests) {
+    std::fprintf(stderr, "  idle parks %llu over %llu requests\n",
+                 static_cast<unsigned long long>(parks),
+                 static_cast<unsigned long long>(requests));
+  }
+
+  std::uint64_t fastest_ns = ~std::uint64_t{0};
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t parked = daemon->server_stats().idle_parks;
+    CHECK(await(
+        [&] { return daemon->server_stats().idle_parks > parked; }, 5.0));
+    const auto t0 = std::chrono::steady_clock::now();
+    const la::GetResult got = daemon->get(rng);
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    fastest_ns = std::min(fastest_ns, static_cast<std::uint64_t>(ns));
+    daemon->free(got.name);
+  }
+  CHECK(fastest_ns < 10'000'000);
+  CHECK(daemon->server().error().empty());
+}
+
 }  // namespace
 
 int main() {
@@ -329,6 +458,8 @@ int main() {
   check_threaded_spsc_eventcount();
   check_eventcount_ping_pong();
   check_collect_bitmap_stream();
+  check_server_stats_two_workers();
+  check_idle_ladder();
   if (failures == 0) {
     std::printf("test_svc_ring: all checks passed\n");
     return 0;
