@@ -39,12 +39,14 @@
 // an RMW on the Header line that every client push reads, and while a
 // worker is registered each push pays a fetch_add and a FUTEX_WAKE; a
 // worker that parked after every empty pass made most round trips pay
-// that. Once the tiers run out, the eventcount protocol runs as before:
-// register, rescan every owned ring and sweep dead clients, only then
-// sleep — a request pushed between the scan and the sleep bumps the word
-// and the sleep returns immediately (see sync/futex.hpp). The sleep is
-// timed, so an idle worker still sweeps on the heartbeat. Pending
-// deadlines are checked on every pass, polling or not.
+// that. The poll holds a core while it lasts: when the worker shares a
+// CPU with the clients it serves, it delays them instead (see ROADMAP
+// item 7). Once the tiers run out, the worker runs the eventcount
+// protocol: register, rescan every owned ring and sweep dead clients,
+// only then sleep — a request pushed between the scan and the sleep
+// bumps the word and the sleep returns immediately (see sync/futex.hpp).
+// The sleep is timed, so an idle worker still sweeps on the heartbeat.
+// Pending deadlines are checked on every pass, polling or not.
 //
 // The per-request counters (requests, names granted and freed) are
 // per-worker, each written only by its worker on a line of its own;
