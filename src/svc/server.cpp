@@ -486,9 +486,6 @@ void Server::worker_loop(std::uint32_t wid) {
   std::vector<std::uint64_t> collect_buf;
   std::uint64_t seen_sweep_epoch = 0;
   WorkerCounters& counters = counters_[wid];
-  // The poll tiers before a doorbell park; any processed request resets
-  // them (see "Idle waiting" in server.hpp).
-  sync::Backoff idle;
   Header& h = seg_.header();
   try {
     for (;;) {
@@ -528,19 +525,10 @@ void Server::worker_loop(std::uint32_t wid) {
       }
       expire_pending(pending);
       if (h.shutdown.load(std::memory_order_acquire)) break;
-      if (processed != 0) {
-        idle.reset();
-        continue;
-      }
-      if (!idle.should_park()) {
-        // Idle, still polling: no doorbell registration, so the clients'
-        // pushes stay a fence and a load of an unchanged line.
-        idle.pause();
-        continue;
-      }
-      // Idle past the poll tiers: eventcount on the doorbell. The
-      // re-check between prepare and commit is a full rescan of our
-      // rings; the timed sleep doubles as the liveness-sweep heartbeat.
+      if (processed != 0) continue;
+      // Idle: eventcount on the doorbell. The re-check between prepare
+      // and commit is a full rescan of our rings; the timed sleep doubles
+      // as the liveness-sweep heartbeat.
       const std::uint32_t seen = h.doorbell.prepare_wait();
       bool nonempty = false;
       for (std::uint32_t r = wid; r < seg_.config().max_clients;

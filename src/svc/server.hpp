@@ -32,21 +32,15 @@
 //     idle heartbeat (the doorbell park has a timeout) and on demand via
 //     request_sweep().
 //
-// Idle waiting has two stages. A worker whose pass over its rings finds
-// nothing first polls: it runs sync::Backoff's spin and yield tiers,
-// rescanning between rounds, and any processed request resets them. Only
-// then does it register on the segment's global doorbell. Registering is
-// an RMW on the Header line that every client push reads, and while a
-// worker is registered each push pays a fetch_add and a FUTEX_WAKE; a
-// worker that parked after every empty pass made most round trips pay
-// that. The poll holds a core while it lasts: when the worker shares a
-// CPU with the clients it serves, it delays them instead (see ROADMAP
-// item 7). Once the tiers run out, the worker runs the eventcount
-// protocol: register, rescan every owned ring and sweep dead clients,
-// only then sleep — a request pushed between the scan and the sleep
-// bumps the word and the sleep returns immediately (see sync/futex.hpp).
-// The sleep is timed, so an idle worker still sweeps on the heartbeat.
-// Pending deadlines are checked on every pass, polling or not.
+// Idle waiting is the eventcount protocol on the segment's global
+// doorbell: after one empty pass over its rings a worker registers,
+// rescans every owned ring and sweeps dead clients, and only then sleeps
+// — a request pushed between the scan and the sleep bumps the word and
+// the sleep returns immediately (see sync/futex.hpp). The sleep is timed,
+// so an idle worker still sweeps on the heartbeat. The worker does not
+// poll before it registers: a poll holds the CPU, and a worker sharing
+// a CPU with its clients then delays them instead of being woken by
+// their pushes (see ROADMAP item 7).
 //
 // The per-request counters (requests, names granted and freed) are
 // per-worker, each written only by its worker on a line of its own;
